@@ -145,18 +145,6 @@ def hnn_parse(alphabet: Alphabet, text: str) -> list:
     return out
 
 
-def hnn_format(alphabet: Alphabet, tokens: list) -> str:
-    if not tokens:
-        return "1"
-    out = []
-    for tok in tokens:
-        if isinstance(tok, tuple):
-            out.append(T_UP if tok[1] > 0 else T_DOWN)
-        else:
-            out.append(alphabet.symbol(tok))
-    return "".join(out)
-
-
 def _hnn_syllables(tokens: list):
     """Alternating [word, eps, word, eps, ..., word] with eps = +-1 (t-signs)."""
     sylls: list = [[]]
@@ -212,10 +200,6 @@ def hnn_inverse(tokens: list) -> list:
 
 def hnn_commute(ctx: HnnContext, x: list, y: list) -> bool:
     return hnn_is_identity(ctx, hnn_inverse(x) + hnn_inverse(y) + list(x) + list(y))
-
-
-def hnn_equal(ctx: HnnContext, x: list, y: list) -> bool:
-    return hnn_is_identity(ctx, list(x) + hnn_inverse(y))
 
 
 # ---------------------------------------------------------------------------

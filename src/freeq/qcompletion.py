@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple, Union
 
 from . import tower as tw
 from .tower import Elem, Form, ResourceCapError, Tower
+from .tower import exponent_vector as abelian_vector  # noqa: F401  re-exported
 from .words import Alphabet, WordSyntaxError
 
 
@@ -166,30 +167,6 @@ def depth(q: QWord) -> int:
         return max((depth(f) for f in q.factors), default=1)
     extra = 0 if q.exponent.denominator == 1 else 1
     return depth(q.base) + extra
-
-
-def abelian_vector(t: Tower, e: Elem) -> tuple:
-    """Exponent sums per base letter, with roots contributing fractionally.
-
-    Conjugation-invariant, hence a cheap oracle for distinguishing elements
-    and conjugacy classes.
-    """
-    n = t.base.size
-    if not isinstance(e, Form):
-        out = [0] * n
-        for x in e:
-            out[abs(x) - 1] += 1 if x > 0 else -1
-        return tuple(Fraction(c) for c in out)
-    total = [Fraction(0)] * n
-    for h in e.hs:
-        for i, c in enumerate(abelian_vector(t, h)):
-            total[i] += c
-    if e.ss:
-        vvec = abelian_vector(t, t.step_at(e.level).v)
-        for s in e.ss:
-            for i in range(n):
-                total[i] += s * vvec[i]
-    return tuple(total)
 
 
 def locate(t: Tower, e: Elem) -> int:

@@ -8,7 +8,8 @@ graph and fiber products over the rose.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .words import Alphabet, Word, inverse, mul, free_reduce
@@ -16,20 +17,20 @@ from .words import Alphabet, Word, inverse, mul, free_reduce
 
 @dataclass(frozen=True)
 class CoreGraph:
-    """Folded basepointed graph; vertices 0..n-1 in canonical BFS order, basepoint 0."""
+    """Folded basepointed graph; vertices 0..n-1 in canonical BFS order, basepoint 0.
+
+    The BFS spanning tree from the basepoint and the index of its chords (the
+    non-tree edges, one per free generator) are computed once, on first use.
+    """
 
     alphabet: Alphabet
     num_vertices: int
     edges: tuple  # sorted tuple of (source, generator>=1, target)
 
     def __post_init__(self):
-        out: Dict[Tuple[int, int], int] = {}
-        inn: Dict[Tuple[int, int], int] = {}
-        for (u, g, v) in self.edges:
-            if (u, g) in out or (v, g) in inn:
-                raise ValueError("graph is not folded")
-            out[(u, g)] = v
-            inn[(v, g)] = u
+        out, inn = _edge_maps(self.edges)
+        if len(out) != len(self.edges) or len(inn) != len(self.edges):
+            raise ValueError("graph is not folded")
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inn)
 
@@ -56,6 +57,62 @@ class CoreGraph:
         for (u, g, v) in self.edges:
             parts.append(f"{u}-{self.alphabet.names[g - 1]}->{v}")
         return " ".join(parts)
+
+    @cached_property
+    def _tree(self) -> dict:
+        return _bfs(self.step, 0, self.alphabet.size)
+
+    @cached_property
+    def _chords(self) -> Dict[Tuple[int, int, int], int]:
+        """Non-tree edges in sorted order -> index in the free basis."""
+        chords = [e for e in self.edges if not _is_tree_edge(self._tree, e)]
+        return {e: i for i, e in enumerate(chords)}
+
+
+def _bfs(step, start, size: int) -> dict:
+    """Breadth-first spanning tree of a folded graph whose step(x, letter) is
+    the end of the edge at x labelled by a signed letter, or None.
+
+    Returns vertex -> (parent, signed letter) in visiting order, the start
+    mapping to (None, 0).  Generators are visited in index order, each
+    forward edge before its backward edge.
+    """
+    tree = {start: (None, 0)}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for g in range(1, size + 1):
+            for letter in (g, -g):
+                nbr = step(x, letter)
+                if nbr is not None and nbr not in tree:
+                    tree[nbr] = (x, letter)
+                    queue.append(nbr)
+    return tree
+
+
+def _tree_path(tree: dict, vertex) -> Word:
+    """Label of the tree path from the root to vertex."""
+    letters = []
+    parent, letter = tree[vertex]
+    while parent is not None:
+        letters.append(letter)
+        parent, letter = tree[parent]
+    return tuple(reversed(letters))
+
+
+def _is_tree_edge(tree: dict, edge) -> bool:
+    (u, g, v) = edge
+    return tree[v] == (u, g) or tree[u] == (v, -g)
+
+
+def _edge_maps(edges):
+    """(vertex, generator) -> vertex maps for forward and backward edges."""
+    out: dict = {}
+    inn: dict = {}
+    for (u, g, v) in edges:
+        out[(u, g)] = v
+        inn[(v, g)] = u
+    return out, inn
 
 
 def _fold(num_vertices: int, edges: List[Tuple[int, int, int]], basepoint: int):
@@ -110,20 +167,12 @@ def _trim(edges, basepoint):
 
 def _canonical(alphabet: Alphabet, edges, basepoint) -> CoreGraph:
     """Renumber vertices by BFS from the basepoint with shortlex edge order."""
-    out: Dict[Tuple[int, int], int] = {}
-    inn: Dict[Tuple[int, int], int] = {}
-    for (u, g, v) in edges:
-        out[(u, g)] = v
-        inn[(v, g)] = u
-    order = {basepoint: 0}
-    queue = deque([basepoint])
-    while queue:
-        x = queue.popleft()
-        for g in range(1, alphabet.size + 1):
-            for nbr in (out.get((x, g)), inn.get((x, g))):
-                if nbr is not None and nbr not in order:
-                    order[nbr] = len(order)
-                    queue.append(nbr)
+    out, inn = _edge_maps(edges)
+
+    def step(x, letter):
+        return out.get((x, letter)) if letter > 0 else inn.get((x, -letter))
+
+    order = {x: i for i, x in enumerate(_bfs(step, basepoint, alphabet.size))}
     new_edges = sorted((order[u], g, order[v]) for (u, g, v) in edges if u in order)
     return CoreGraph(alphabet, max(1, len(order)), tuple(new_edges))
 
@@ -155,32 +204,12 @@ def contains(graph: CoreGraph, w: Word) -> bool:
     return graph.trace(w) == 0
 
 
-def _spanning_tree(graph: CoreGraph):
-    """BFS tree: vertex -> path word from basepoint; plus sorted non-tree edges."""
-    path = {0: ()}
-    queue = deque([0])
-    tree_edges = set()
-    while queue:
-        x = queue.popleft()
-        for g in range(1, graph.alphabet.size + 1):
-            v = graph.step(x, g)
-            if v is not None and v not in path:
-                path[v] = path[x] + (g,)
-                tree_edges.add((x, g, v))
-                queue.append(v)
-            u = graph.step(x, -g)
-            if u is not None and u not in path:
-                path[u] = path[x] + (-g,)
-                tree_edges.add((u, g, x))
-                queue.append(u)
-    chords = [e for e in graph.edges if e not in tree_edges]
-    return path, chords
-
-
 def free_basis(graph: CoreGraph) -> List[Word]:
     """One free generator per non-tree edge, in deterministic order."""
-    path, chords = _spanning_tree(graph)
-    return [mul(path[u], (g,), inverse(path[v])) for (u, g, v) in chords]
+    tree = graph._tree
+    return [
+        mul(_tree_path(tree, u), (g,), inverse(_tree_path(tree, v))) for (u, g, v) in graph._chords
+    ]
 
 
 def express(graph: CoreGraph, w: Word) -> Optional[List[Tuple[int, int]]]:
@@ -188,25 +217,16 @@ def express(graph: CoreGraph, w: Word) -> Optional[List[Tuple[int, int]]]:
 
     Returns a list of (basis index, sign) whose product equals w.
     """
-    path, chords = _spanning_tree(graph)
-    chord_idx = {e: i for i, e in enumerate(chords)}
+    chords = graph._chords
     v = 0
     out: List[Tuple[int, int]] = []
     for x in w:
-        if x > 0:
-            nxt = graph.step(v, x)
-            if nxt is None:
-                return None
-            e = (v, x, nxt)
-            if e in chord_idx:
-                out.append((chord_idx[e], 1))
-        else:
-            nxt = graph.step(v, x)
-            if nxt is None:
-                return None
-            e = (nxt, -x, v)
-            if e in chord_idx:
-                out.append((chord_idx[e], -1))
+        nxt = graph.step(v, x)
+        if nxt is None:
+            return None
+        i = chords.get((v, x, nxt) if x > 0 else (nxt, -x, v))
+        if i is not None:
+            out.append((i, 1 if x > 0 else -1))
         v = nxt
     if v != 0:
         return None
@@ -215,16 +235,8 @@ def express(graph: CoreGraph, w: Word) -> Optional[List[Tuple[int, int]]]:
 
 def quasiconvexity_constant(graph: CoreGraph) -> int:
     """Max graph distance from any vertex to the basepoint within the core."""
-    dist = {0: 0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for g in range(1, graph.alphabet.size + 1):
-            for nbr in (graph.step(x, g), graph.step(x, -g)):
-                if nbr is not None and nbr not in dist:
-                    dist[nbr] = dist[x] + 1
-                    queue.append(nbr)
-    return max(dist.values())
+    tree = graph._tree
+    return len(_tree_path(tree, next(reversed(tree))))  # BFS visits the farthest vertex last
 
 
 @dataclass(frozen=True)
@@ -240,79 +252,60 @@ class FiberComponent:
         return len(self.edges) - len(self.vertices) + 1
 
 
+def _pair_step(g1: CoreGraph, g2: CoreGraph):
+    """The step function of the fiber product, on (p, q) pairs."""
+
+    def step(x, letter):
+        p, q = g1.step(x[0], letter), g2.step(x[1], letter)
+        return None if p is None or q is None else (p, q)
+
+    return step
+
+
 def fiber_product(g1: CoreGraph, g2: CoreGraph) -> List[FiberComponent]:
+    """The components of the pullback that carry at least one edge, in order
+    of their least (p, q) pair.
+
+    A pair with no edge would be a one-vertex tree component; none is
+    returned.  Edges are built one generator at a time from the two edge
+    lists, so the cost is the number of edge pairs, not of vertex pairs.
+    """
     if g1.alphabet != g2.alphabet:
         raise ValueError("fiber product needs a common alphabet")
-    pairs = [(p, q) for p in range(g1.num_vertices) for q in range(g2.num_vertices)]
-    parent = {x: x for x in pairs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for (p, q) in pairs:
-        for g in range(1, g1.alphabet.size + 1):
-            p2, q2 = g1.step(p, g), g2.step(q, g)
-            if p2 is not None and q2 is not None:
-                edges.append(((p, q), g, (p2, q2)))
-                ra, rb = find((p, q)), find((p2, q2))
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    comp_vertices: Dict[Tuple[int, int], list] = {}
-    for x in pairs:
-        comp_vertices.setdefault(find(x), []).append(x)
-    comp_edges: Dict[Tuple[int, int], list] = {r: [] for r in comp_vertices}
+    size = g1.alphabet.size
+    by_gen: Dict[int, list] = {g: [] for g in range(1, size + 1)}
+    for (q, g, q2) in g2.edges:
+        by_gen[g].append((q, q2))
+    edges = sorted(((p, q), g, (p2, q2)) for (p, g, p2) in g1.edges for (q, q2) in by_gen[g])
+    step = _pair_step(g1, g2)
+    component: Dict[Tuple[int, int], int] = {}
+    vertex_sets: List[tuple] = []
+    for x in sorted({x for (a, _, b) in edges for x in (a, b)}):
+        if x not in component:
+            tree = _bfs(step, x, size)
+            component.update(dict.fromkeys(tree, len(vertex_sets)))
+            vertex_sets.append(tuple(sorted(tree)))
+    comp_edges: List[list] = [[] for _ in vertex_sets]
     for e in edges:
-        comp_edges[find(e[0])].append(e)
-    out = []
-    for root in sorted(comp_vertices):
-        out.append(
-            FiberComponent(
-                vertices=tuple(sorted(comp_vertices[root])),
-                edges=tuple(sorted(comp_edges[root])),
-                contains_basepoint=(0, 0) in comp_vertices[root],
-            )
-        )
-    return out
+        comp_edges[component[e[0]]].append(e)
+    return [
+        FiberComponent(vs, tuple(es), contains_basepoint=vs[0] == (0, 0))
+        for vs, es in zip(vertex_sets, comp_edges)
+    ]
 
 
-def _component_loop(comp: FiberComponent, at) -> Optional[Word]:
-    """A nontrivial reduced loop at `at` inside the component, if betti >= 1."""
-    tree_path = {at: ()}
-    tree = set()
-    queue = deque([at])
-    step_out = {}
-    step_in = {}
-    for (u, g, v) in comp.edges:
-        step_out[(u, g)] = v
-        step_in[(v, g)] = u
-    gens = sorted({g for (_, g, _) in comp.edges})
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            v = step_out.get((x, g))
-            if v is not None and v not in tree_path:
-                tree_path[v] = tree_path[x] + (g,)
-                tree.add((x, g, v))
-                queue.append(v)
-            u = step_in.get((x, g))
-            if u is not None and u not in tree_path:
-                tree_path[u] = tree_path[x] + (-g,)
-                tree.add((u, g, x))
-                queue.append(u)
-    for e in comp.edges:
-        if e not in tree:
-            (u, g, v) = e
-            return mul(tree_path[u], (g,), inverse(tree_path[v]))
-    return None
-
-
-def _vertex_path(graph: CoreGraph, vertex: int) -> Word:
-    path, _ = _spanning_tree(graph)
-    return path[vertex]
+def _cycle_witness(comp: FiberComponent, g1: CoreGraph, g2: CoreGraph):
+    """(alpha, beta, u) for a fiber component of g1, g2 with betti >= 1, at its
+    least pair (p, q): alpha and beta are the tree paths to p in g1 and to q in
+    g2, and u = alpha z alpha^-1 for the loop z at (p, q) through the first
+    chord."""
+    at = comp.vertices[0]
+    tree = _bfs(_pair_step(g1, g2), at, g1.alphabet.size)
+    (u, g, v) = next(e for e in comp.edges if not _is_tree_edge(tree, e))
+    z = mul(_tree_path(tree, u), (g,), inverse(_tree_path(tree, v)))
+    alpha = _tree_path(g1._tree, at[0])
+    beta = _tree_path(g2._tree, at[1])
+    return alpha, beta, mul(alpha, z, inverse(alpha))
 
 
 @dataclass(frozen=True)
@@ -336,13 +329,8 @@ def is_conjugate_separated(graph: CoreGraph) -> SeparationResult:
     for comp in fiber_product(graph, graph):
         if comp.contains_basepoint or comp.betti == 0:
             continue
-        (p, q) = comp.vertices[0]
-        alpha = _vertex_path(graph, p)
-        beta = _vertex_path(graph, q)
-        z = _component_loop(comp, (p, q))
-        x = mul(alpha, inverse(beta))
-        u = mul(alpha, z, inverse(alpha))
-        return SeparationResult(False, witness=x, common_element=u)
+        alpha, beta, u = _cycle_witness(comp, graph, graph)
+        return SeparationResult(False, witness=mul(alpha, inverse(beta)), common_element=u)
     return SeparationResult(True)
 
 
@@ -354,11 +342,6 @@ def conjugate_intersections_finite(gU: CoreGraph, gV: CoreGraph) -> SeparationRe
     for comp in fiber_product(gU, gV):
         if comp.betti == 0:
             continue
-        (p, q) = comp.vertices[0]
-        alpha = _vertex_path(gU, p)
-        beta = _vertex_path(gV, q)
-        z = _component_loop(comp, (p, q))
-        g = mul(beta, inverse(alpha))
-        u = mul(alpha, z, inverse(alpha))
-        return SeparationResult(False, witness=g, common_element=u)
+        alpha, beta, u = _cycle_witness(comp, gU, gV)
+        return SeparationResult(False, witness=mul(beta, inverse(alpha)), common_element=u)
     return SeparationResult(True)

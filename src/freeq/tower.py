@@ -50,10 +50,6 @@ class Form:
         return len(self.ss)
 
 
-SemicanonicalForm = Form
-CanonicalForm = Form
-
-
 @dataclass(frozen=True)
 class Step:
     """One centralizer extension: adjoin an m-th root (named `name`) of v."""
@@ -368,9 +364,10 @@ def equal(t: Tower, a: Elem, b: Elem) -> bool:
 # -- cyclic subgroup membership and coset representatives --------------------
 
 
-def _exponent_vector(t: Tower, e: Elem):
+def exponent_vector(t: Tower, e: Elem):
     """Exponent sums per base letter; roots contribute fractionally.  A
-    homomorphism to Q^rank, so h = v^k forces vector(h) = k * vector(v)."""
+    conjugation-invariant homomorphism to Q^rank, so h = v^k forces
+    vector(h) = k * vector(v)."""
     n = t.base.size
     if not isinstance(e, Form):
         out = [0] * n
@@ -379,10 +376,10 @@ def _exponent_vector(t: Tower, e: Elem):
         return tuple(Fraction(c) for c in out)
     total = [Fraction(0)] * n
     for h in e.hs:
-        for i, c in enumerate(_exponent_vector(t, h)):
+        for i, c in enumerate(exponent_vector(t, h)):
             total[i] += c
     if e.ss:
-        vvec = _exponent_vector(t, t.step_at(e.level).v)
+        vvec = exponent_vector(t, t.step_at(e.level).v)
         s_sum = sum(e.ss)
         for i in range(n):
             total[i] += s_sum * vvec[i]
@@ -398,10 +395,10 @@ def is_in_cyclic(t: Tower, h: Elem, v: Elem) -> Optional[int]:
     if key in cache:
         return cache[key]
     result = None
-    vvec = _exponent_vector(t, v)
+    vvec = exponent_vector(t, v)
     if any(vvec):
         # the exponent is forced by any nonzero coordinate
-        hvec = _exponent_vector(t, h)
+        hvec = exponent_vector(t, h)
         i = next(i for i, c in enumerate(vvec) if c)
         k = hvec[i] / vvec[i]
         if k.denominator == 1 and pow_elem(t, v, int(k)) == h:
@@ -435,12 +432,12 @@ def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
         return cache[key]
     window = 2 * elem_len(t, h) + 2
     exponents = set(range(-window, window + 1))
-    vvec = _exponent_vector(t, v)
+    vvec = exponent_vector(t, v)
     if any(vvec):
         # powers of v can collapse to shorter elements (chain roots), so the
         # minimal representative may sit near an abelianized exponent of h;
         # every center shifts by d under h -> h v^d, keeping reps consistent
-        hvec = _exponent_vector(t, h)
+        hvec = exponent_vector(t, h)
         for i, c in enumerate(vvec):
             if not c:
                 continue
@@ -604,6 +601,20 @@ def _units(t: Tower, e: Form) -> List[Elem]:
     return out
 
 
+def _twists(t: Tower, g: Form, k_bound: int):
+    """Conjugators p * v^j of the cyclic rotations of g, twisted by powers of
+    the step element v: for each prefix p of g's alternating factors
+    (identity first), |j| <= k_bound by increasing |j|, -j before +j."""
+    lvl = g.level
+    prefixes = [identity(t, lvl)]
+    for u in _units(t, g):
+        prefixes.append(mul(t, prefixes[-1], u))
+    v = t.step_at(lvl).v
+    for p in prefixes:
+        for j in sorted(range(-k_bound, k_bound + 1), key=abs):
+            yield mul(t, p, lift(t, pow_elem(t, v, j), lvl))
+
+
 def conjugate_in_tower(
     t: Tower, f1: Elem, f2: Elem, k_bound: Optional[int] = None
 ) -> Tuple[str, Optional[Elem]]:
@@ -640,18 +651,9 @@ def conjugate_in_tower(
     rots = [tuple(c2.ss[i:] + c2.ss[:i]) for i in range(n2)]
     if tuple(c1.ss) not in rots:
         return DISTINCT, None
-    units = _units(t, c1)
-    prefix = identity(t, lvl)
-    prefixes = [prefix]
-    for u in units:
-        prefix = mul(t, prefix, u)
-        prefixes.append(prefix)
-    v = t.step_at(lvl).v
-    for p in prefixes:
-        for j in sorted(range(-k_bound, k_bound + 1), key=abs):
-            d = mul(t, p, lift(t, pow_elem(t, v, j), lvl))
-            if equal(t, conj(t, c1, d), c2):
-                return finish(d)
+    for d in _twists(t, c1, k_bound):
+        if equal(t, conj(t, c1, d), c2):
+            return finish(d)
     return UNKNOWN, None
 
 
@@ -717,20 +719,14 @@ def class_rep(
         return out
     if k_bound is None:
         k_bound = elem_len(t, core) + 4
-    v = t.step_at(lvl).v
     best = None
     for sign, g in ((1, core), (-1, inv(t, core))):
         g = canonical_form(t, g)
-        prefixes = [identity(t, lvl)]
-        for u_elem in _units(t, g):
-            prefixes.append(mul(t, prefixes[-1], u_elem))
-        for p in prefixes:
-            for j in sorted(range(-k_bound, k_bound + 1), key=abs):
-                d = mul(t, p, lift(t, pow_elem(t, v, j), lvl))
-                cand = conj(t, g, d)
-                key = (sort_key(t, cand), sign)
-                if best is None or key < best[0]:
-                    best = (key, cand, d, sign)
+        for d in _twists(t, g, k_bound):
+            cand = conj(t, g, d)
+            key = (sort_key(t, cand), sign)
+            if best is None or key < best[0]:
+                best = (key, cand, d, sign)
     _, rep, d, sign = best
     # cand = d^-1 g d with g = core^sign, hence core = (d rep d^-1)^sign
     c = d

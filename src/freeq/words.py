@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional
 
 Word = tuple  # tuple[int, ...], freely reduced
 
@@ -93,20 +93,13 @@ def mul(*words: Word) -> Word:
 def power(w: Word, n: int) -> Word:
     if n < 0:
         return power(inverse(w), -n)
-    out: Word = IDENTITY
-    for _ in range(n):
-        out = mul(out, w)
-    return out
+    c = cyclic_reduce(w)
+    return mul(c.conjugator, c.core * n, inverse(c.conjugator))
 
 
 def conjugate(w: Word, by: Word) -> Word:
     """by^-1 * w * by."""
     return mul(inverse(by), w, by)
-
-
-def shortlex_key(w: Word):
-    """Shortlex order: length, then generator index, then sign (+1 before -1)."""
-    return (len(w), tuple((abs(x), 0 if x > 0 else 1) for x in w))
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,7 @@ def rotations(w: Word):
 
 
 def is_conjugate(w1: Word, w2: Word) -> bool:
-    c1, c2 = cyclic_reduce(w1).core, cyclic_reduce(w2).core
-    if len(c1) != len(c2):
-        return False
-    return c2 in set(rotations(c1))
+    return conjugacy_witness(w1, w2) is not None
 
 
 def conjugacy_witness(w1: Word, w2: Word) -> Optional[Word]:
@@ -166,9 +156,8 @@ def extract_root(w: Word):
     for d in range(1, n + 1):
         if n % d:
             continue
-        root = w[:d]
-        if power(root, n // d) == w:
-            return root, n // d
+        if w[:d] * (n // d) == w:
+            return w[:d], n // d
     raise AssertionError("unreachable")
 
 
@@ -198,21 +187,6 @@ class Presentation:
                 raise ValueError("relator equal to identity")
             if cyclic_reduce(r).conjugator:
                 raise ValueError("relators must be cyclically reduced")
-
-
-def _reduced_words_up_to(alphabet: Alphabet, max_len: int):
-    """All freely reduced words of length <= max_len, shortest first."""
-    yield IDENTITY
-    frontier = [IDENTITY]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for x in alphabet.all_letters():
-                if w and w[-1] == -x:
-                    continue
-                nxt.append(w + (x,))
-        yield from nxt
-        frontier = nxt
 
 
 def dehn_area(p: Presentation, w: Word, bound: int) -> Optional[int]:
@@ -257,6 +231,13 @@ def dehn_area(p: Presentation, w: Word, bound: int) -> Optional[int]:
     return None
 
 
-def reduced_words(alphabet: Alphabet, max_len: int) -> Sequence[Word]:
-    """Convenience list of all reduced words of length <= max_len."""
-    return list(_reduced_words_up_to(alphabet, max_len))
+def reduced_words(alphabet: Alphabet, max_len: int) -> List[Word]:
+    """All freely reduced words of length <= max_len, shortest first."""
+    out = [IDENTITY]
+    frontier = [IDENTITY]
+    for _ in range(max_len):
+        frontier = [
+            w + (x,) for w in frontier for x in alphabet.all_letters() if not (w and w[-1] == -x)
+        ]
+        out.extend(frontier)
+    return out

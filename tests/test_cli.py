@@ -2,9 +2,13 @@
 JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import freeq
 from freeq import cli
 
 
@@ -73,6 +77,18 @@ class TestWord:
         code, doc = run_json(capsys, "word", "reduce", "abBAa")
         assert code == 0
         assert doc["reduced"] == "a"
+
+    def test_module_entry_point(self):
+        # `python -m freeq.cli` runs the CLI, not just imports it
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(freeq.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freeq.cli", "--json", "word", "reduce", "abBA"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"length": 0, "reduced": "1"}
 
     def test_conj_positive(self, capsys):
         code, doc = run_json(capsys, "word", "conj", "Bab", "a")

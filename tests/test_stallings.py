@@ -1,6 +1,7 @@
 """Core graphs of finitely generated subgroups: membership, quasiconvexity,
 malnormality, and finiteness of intersections with conjugates."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from freeq.stallings import build_core, contains, fiber_product, free_basis
 from freeq.words import Alphabet
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 def W(text):
@@ -39,13 +41,13 @@ def brute_elements(gens, max_factors):
     return seen
 
 
-def random_subgroup(rng, max_gens=3, max_len=4):
+def random_subgroup(rng, max_gens=3, max_len=4, rank=2):
     gens = []
     for _ in range(rng.randint(1, max_gens)):
         n = rng.randint(1, max_len)
         out = []
         while len(out) < n:
-            x = rng.choice([1, -1]) * rng.randint(1, 2)
+            x = rng.choice([1, -1]) * rng.randint(1, rank)
             if out and out[-1] == -x:
                 continue
             out.append(x)
@@ -182,6 +184,13 @@ class TestFiberProduct:
         comps = fiber_product(core("aa"), core("a"))
         assert any(c.betti >= 1 for c in comps)
 
+    def test_only_components_with_edges(self):
+        # in <ab> x <ba> the pairs (0, 0) and (1, 1) carry no edge: they are
+        # one-vertex trees, and only the component with edges is returned
+        comps = fiber_product(core("ab"), core("ba"))
+        assert [c.vertices for c in comps] == [((0, 1), (1, 0))]
+        assert comps[0].betti == 1 and not comps[0].contains_basepoint
+
 
 class TestConjugateSeparated:
     def test_examples(self):
@@ -247,3 +256,29 @@ class TestConjugateIntersections:
         assert u and contains(gU, u)
         # witness convention: g u g^-1 lies in V
         assert contains(gV, words.mul(g, u, words.inverse(g)))
+
+
+# sha256 of the lines below, fixed when the BFS was shared across core graphs
+# and fiber products: vertex numbering, bases, qc-constants and witnesses are
+# part of the CLI output and must not change
+STALLINGS_DIGEST = "340a09d422eb5199917b387d9faaa12fd91b784e68a77b60187c58241411993b"
+
+
+def test_byte_identity_digest():
+    digest = hashlib.sha256()
+    for alphabet in (AB, ABC):
+        rng = random.Random(27)
+        for _ in range(150):
+            gU = build_core(alphabet, random_subgroup(rng, 3, 6, alphabet.size))
+            gV = build_core(alphabet, random_subgroup(rng, 3, 6, alphabet.size))
+            sep = stallings.is_conjugate_separated(gU)
+            inter = stallings.conjugate_intersections_finite(gU, gV)
+            line = (
+                gU.serialize(),
+                free_basis(gU),
+                stallings.quasiconvexity_constant(gU),
+                (sep.holds, sep.witness, sep.common_element),
+                (inter.holds, inter.witness, inter.common_element),
+            )
+            digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == STALLINGS_DIGEST
