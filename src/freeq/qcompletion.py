@@ -49,12 +49,17 @@ QWord = Union[QLetter, QProduct, QPower]
 
 # -- parsing -----------------------------------------------------------------
 
+# Deepest parenthesis nesting accepted; deeper input is a syntax error rather
+# than a RecursionError in the recursive-descent parser or in normalization.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, alphabet: Alphabet, text: str):
         self.alphabet = alphabet
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -104,9 +109,13 @@ class _Parser:
     def atom(self) -> QWord:
         ch = self.peek()
         if ch == "(":
+            if self.nesting == MAX_NESTING:
+                raise QSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
+            self.nesting += 1
             self.pos += 1
             inner = self.product()
             self.expect(")")
+            self.nesting -= 1
             return inner
         if ch == "1":
             self.pos += 1

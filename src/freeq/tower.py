@@ -12,7 +12,7 @@ forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -26,13 +26,18 @@ class ResourceCapError(RuntimeError):
     """A tower operation exceeded the configured level cap."""
 
 
-@dataclass(frozen=True)
+class CertificateError(RuntimeError):
+    """A certificate failed its replay check, so the answer it backs is wrong."""
+
+
+@dataclass(frozen=True, slots=True)
 class Form:
     """Alternating semicanonical form at a given extension level."""
 
     level: int
     hs: tuple  # n+1 elements of the level below
     ss: tuple  # n fractional exponents, each in (0,1)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.hs) != len(self.ss) + 1:
@@ -50,7 +55,7 @@ class Form:
         return len(self.ss)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One centralizer extension: adjoin an m-th root (named `name`) of v."""
 
@@ -67,7 +72,11 @@ class Tower:
     """Base free group plus an ordered chain of centralizer-extension steps.
 
     Immutable: extend_centralizer returns a new tower sharing the prefix.
-    Caches are content-addressed and shared across extensions.
+    Caches are shared across extensions.  An entry of `_caches["ops"]` is keyed
+    `(kind, prefix id, operands...)`: the prefix id is an int standing for the
+    steps up to the operands' level (0 for none), interned in
+    `_caches["prefix"]` by (parent id, step), so towers built separately over
+    one caches dict give equal step chains equal ids and share entries.
     """
 
     def __init__(self, base: Alphabet, steps: Tuple[Step, ...] = (), aliases=(), caches=None):
@@ -75,6 +84,12 @@ class Tower:
         self.steps = tuple(steps)
         self.aliases = tuple(aliases)  # (name, elem) pairs from m=1 collapses
         self._caches = caches if caches is not None else {}
+        ids = self._cache("prefix")
+        pid = [0]
+        for step in self.steps:
+            pid.append(ids.setdefault((pid[-1], step), len(ids) + 1))
+        self._pid = tuple(pid)  # _pid[lvl]: id of steps[:lvl]
+        self._order = _order_table(base)
 
     @property
     def level(self) -> int:
@@ -174,7 +189,7 @@ def serialize(t: Tower, e: Elem) -> str:
         return t.base.format(e)
     if is_trivial(e):
         return "1"
-    key = ("ser", t.steps[: e.level], e)
+    key = ("ser", t._pid[e.level], e)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
@@ -192,28 +207,26 @@ def serialize(t: Tower, e: Elem) -> str:
     return out
 
 
-def _char_key(c: str):
-    key = _CHAR_KEYS.get(c)
-    if key is None:
-        if c.isalpha():
-            key = (0, c.lower(), 1 if c.isupper() else 0)
-        else:
-            key = (1, c, 0)
-        _CHAR_KEYS[c] = key
-    return key
-
-
-_CHAR_KEYS: dict = {}
+def _order_table(base: Alphabet) -> dict:
+    """str.translate table mapping each character serialize can emit to its
+    rank: letters by lowercase, lowercase before uppercase, then the other
+    characters by code point."""
+    chars = set("()^/-0123456789")
+    for name in base.names:
+        chars.update(name + name.upper())
+    keys = {c: (0, c.lower(), c.isupper()) if c.isalpha() else (1, c, False) for c in chars}
+    ranks = {k: r for r, k in enumerate(sorted(set(keys.values())))}
+    return {ord(c): ranks[k] for c, k in keys.items()}
 
 
 def sort_key(t: Tower, e: Elem):
-    """Shortlex over the canonical generating set (lowercase before uppercase)."""
-    key = ("key", t.steps[: level_of(e)], e)
+    """Shortlex over the canonical generating set (lowercase before uppercase):
+    (length, serialized text with each character replaced by its rank)."""
+    key = ("key", t._pid[level_of(e)], e)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    text = serialize(t, e)
-    out = (elem_len(t, e), tuple(_char_key(c) for c in text))
+    out = (elem_len(t, e), serialize(t, e).translate(t._order))
     cache[key] = out
     return out
 
@@ -224,7 +237,7 @@ def sort_key(t: Tower, e: Elem):
 def _mul_level(t: Tower, lvl: int, a: Elem, b: Elem) -> Elem:
     if lvl == 0:
         return words.mul(a, b)
-    key = ("mul", t.steps[:lvl], a, b)
+    key = ("mul", t._pid[lvl], a, b)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
@@ -249,7 +262,7 @@ def mul(t: Tower, *elems: Elem) -> Elem:
 def inv(t: Tower, e: Elem) -> Elem:
     if not isinstance(e, Form):
         return words.inverse(e)
-    key = ("inv", t.steps[: e.level], e)
+    key = ("inv", t._pid[e.level], e)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
@@ -282,7 +295,7 @@ def conj(t: Tower, g: Elem, x: Elem) -> Elem:
 def _vpow(t: Tower, lvl: int, k: int) -> Elem:
     """v^k at level lvl-1, for the step creating level lvl."""
     step = t.step_at(lvl)
-    key = ("vpow", t.steps[:lvl], k)
+    key = ("vpow", t._pid[lvl], k)
     cache = t._cache("ops")
     if key not in cache:
         cache[key] = pow_elem(t, step.v, k)
@@ -344,7 +357,7 @@ def canonical_form(t: Tower, e: Elem) -> Elem:
     """Deterministic canonical form; idempotent, equal elements map to equal forms."""
     if not isinstance(e, Form):
         return words.free_reduce(e)
-    key = ("canon", t.steps[: e.level], e)
+    key = ("canon", t._pid[e.level], e)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
@@ -390,7 +403,7 @@ def is_in_cyclic(t: Tower, h: Elem, v: Elem) -> Optional[int]:
     """The integer k with h = v^k, or None; v is assumed of infinite order."""
     if is_trivial(h):
         return 0
-    key = ("cyc", t.steps[: level_of(h)], h, v)
+    key = ("cyc", t._pid[level_of(h)], h, v)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
@@ -426,7 +439,7 @@ def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
     the window is wide enough that every member of the coset picks the same
     representative.
     """
-    key = ("rep", t.steps[: level_of(h)], h, v)
+    key = ("rep", t._pid[level_of(h)], h, v)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
@@ -635,7 +648,8 @@ def conjugate_in_tower(
 
     def finish(d: Elem) -> Tuple[str, Elem]:
         total = mul(t, x1, d, inv(t, x2))
-        assert equal(t, conj(t, f1, total), f2)
+        if not equal(t, conj(t, f1, total), f2):
+            raise CertificateError("conjugator does not conjugate f1 to f2")
         return CONJUGATE, total
 
     if lvl == 0:
@@ -694,7 +708,7 @@ def class_rep(
     cores map to the same rep.
     """
     lvl = level_of(core)
-    ckey = ("crep", t.steps[:lvl], core, k_bound)
+    ckey = ("crep", t._pid[lvl], core, k_bound)
     cache = t._cache("ops")
     if ckey in cache:
         return cache[ckey]
@@ -708,7 +722,8 @@ def class_rep(
                     best = (key, rot, g[:i], sign)
         _, rep, c, sign = best
         check = words.mul(c, rep if sign > 0 else words.inverse(rep), words.inverse(c))
-        assert check == core
+        if check != core:
+            raise CertificateError("class representative does not rebuild the core")
         cache[ckey] = (rep, c, sign)
         return rep, c, sign
     core = canonical_form(t, core)
@@ -731,6 +746,7 @@ def class_rep(
     # cand = d^-1 g d with g = core^sign, hence core = (d rep d^-1)^sign
     c = d
     check = mul(t, c, rep if sign > 0 else inv(t, rep), inv(t, c))
-    assert equal(t, check, core)
+    if not equal(t, check, core):
+        raise CertificateError("class representative does not rebuild the core")
     cache[ckey] = (rep, c, sign)
     return rep, c, sign

@@ -123,27 +123,31 @@ def cyclic_reduce(w: Word) -> CyclicWord:
     return CyclicWord(core=tuple(core), conjugator=tuple(conj))
 
 
-def rotations(w: Word):
-    for i in range(max(1, len(w))):
-        yield w[i:] + w[:i]
-
-
 def is_conjugate(w1: Word, w2: Word) -> bool:
     return conjugacy_witness(w1, w2) is not None
 
 
 def conjugacy_witness(w1: Word, w2: Word) -> Optional[Word]:
-    """A word c with c^-1 * w1 * c = w2, or None."""
+    """A word c with c^-1 * w1 * c = w2, or None.
+
+    The core of w2 is the rotation core1[i:] + core1[:i] exactly when it
+    occurs at offset i of core1 doubled; str.find over the letters encoded as
+    characters gives the first such i in linear time.
+    """
     r1, r2 = cyclic_reduce(w1), cyclic_reduce(w2)
     if len(r1.core) != len(r2.core):
         return None
-    for i, rot in enumerate(rotations(r1.core)):
-        if rot == r2.core:
-            # rot = p^-1 core1 p with p = core1[:i], hence c = a1 p a2^-1
-            c = mul(r1.conjugator, r1.core[:i], inverse(r2.conjugator))
-            if conjugate(w1, c) == w2:
-                return c
-    return None
+    i = (_text(r1.core) * 2).find(_text(r2.core))
+    if i < 0:
+        return None
+    # rot = p^-1 core1 p with p = core1[:i], hence c = a1 p a2^-1
+    c = mul(r1.conjugator, r1.core[:i], inverse(r2.conjugator))
+    return c if conjugate(w1, c) == w2 else None
+
+
+def _text(w: Word) -> str:
+    """One character per letter, distinct letters to distinct characters."""
+    return "".join([chr(2 * x if x > 0 else -2 * x - 1) for x in w])
 
 
 def extract_root(w: Word):

@@ -1,6 +1,8 @@
 """Acceptance suite: one criterion per test, each printing a single
 pass/fail line and enforcing its runtime budget."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -177,6 +179,16 @@ def test_criterion_5_v_tables():
     ok &= t2.generator_count == t1.generator_count + len(t2.tables[1].entries)
     ok &= t3.generator_count == t2.generator_count + len(t3.tables[2].entries)
     report("criterion-5 v-tables", ok, time.perf_counter() - t0, 30.0)
+
+
+# sha256 of the V_3 element list (as json, base ab) printed by the seed commit
+V3_SEED_DIGEST = "08d8cde988eaa9ff6558b2b1c7714112eec72656b0282f95319a6e1514acef98"
+
+
+def test_criterion_5_v3_byte_identity():
+    # tower_level memoizes levels, so this reuses criterion-5's T_3
+    texts = list(qc.tower_level(AB, 3).tables[2].texts)
+    assert hashlib.sha256(json.dumps(texts).encode()).hexdigest() == V3_SEED_DIGEST
 
 
 def _rand_fraction(rng, max_den=4, signed=True):

@@ -250,6 +250,11 @@ class TestQword:
         assert code == 3
         assert doc["error"]["code"] == "parse"
 
+    def test_deep_nesting(self, capsys):
+        code, doc = run_json(capsys, "qword", "normalize", "(" * 2000 + "a" + ")" * 2000)
+        assert code == 3
+        assert doc["error"]["code"] == "parse"
+
     def test_human_output(self, capsys):
         code, out = run(capsys, "qword", "normalize", "(ab)^(3/2)")
         assert code == 0

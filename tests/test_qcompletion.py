@@ -59,6 +59,13 @@ class TestParse:
         with pytest.raises(qc.QSyntaxError):
             parse_qword(AB, "a^(1/0)")
 
+    def test_nesting_cap(self):
+        n = qc.MAX_NESTING
+        assert parse_qword(AB, "(" * n + "a" + ")" * n) == qc.QLetter(1)
+        with pytest.raises(qc.QSyntaxError) as err:
+            parse_qword(AB, "(" * (n + 1) + "a" + ")" * (n + 1))
+        assert err.value.position == n
+
     def test_uppercase_inverse(self):
         s = session()
         assert s.q_equal("aA", "1")

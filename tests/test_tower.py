@@ -2,7 +2,10 @@
 alternating syllable forms, coset representatives, cyclic reduction, root
 extraction, and conjugacy with certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +34,27 @@ def random_elem(rng, t, n_factors=4, max_exp=2):
     for _ in range(rng.randint(1, n_factors)):
         raw.append((rng.choice(symbols), rng.choice([-2, -1, 1, 2][: 2 * max_exp])))
     return tw.reduce_to_semicanonical(t, raw)
+
+
+def tower_chain(alphabet):
+    """Towers of levels 0..3 over one caches dict: a square root of ab, a
+    cube root of that root, then a square root of aB."""
+    t0 = Tower(alphabet)
+    t1 = t0.extend_centralizer(tw.from_word(t0, (1, 2)), 2, name="w")
+    t2 = t1.extend_centralizer(t1.root(1), 3, name="u")
+    t3 = t2.extend_centralizer(tw.from_word(t2, (1, -2)), 2, name="x")
+    return [t0, t1, t2, t3]
+
+
+def char_key(c):
+    """Per-character order of the tuple sort key sort_key replaced."""
+    if c.isalpha():
+        return (0, c.lower(), 1 if c.isupper() else 0)
+    return (1, c, 0)
+
+
+def tuple_sort_key(t, e):
+    return (tw.elem_len(t, e), tuple(char_key(c) for c in tw.serialize(t, e)))
 
 
 class TestExtend:
@@ -280,6 +304,95 @@ class TestConjugacy:
             status, c = tw.conjugate_in_tower(t, other, g)
             assert status == tw.CONJUGATE
             assert tw.equal(t, tw.mul(t, tw.inv(t, c), other, c), g)
+
+
+class TestCacheKeys:
+    @pytest.mark.parametrize("names", [("a", "b"), ("é", "b")])
+    def test_sort_key_matches_char_key_order(self, names):
+        rng = random.Random(43)
+        towers = tower_chain(Alphabet(names))
+        top = towers[-1]
+        elems = [
+            words.free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 8)))
+            for _ in range(40)
+        ]
+        for t in towers[1:]:
+            elems += [random_elem(rng, t) for _ in range(40)]
+        assert {tw.level_of(e) for e in elems} == {0, 1, 2, 3}
+        texts = "".join(tw.serialize(top, e) for e in elems)
+        assert set(names + (names[0].upper(), "/", "(")) <= set(texts)
+        new = [tw.sort_key(top, e) for e in elems]
+        old = [tuple_sort_key(top, e) for e in elems]
+        for i in range(len(elems)):
+            for j in range(len(elems)):
+                assert (new[i] < new[j], new[i] == new[j]) == (old[i] < old[j], old[i] == old[j])
+
+    def test_prefix_ids_interned(self):
+        caches = {}
+        t1, u1 = (
+            Tower(AB, caches=caches).extend_centralizer(tw.from_word(Tower(AB), (1, 2)), 2, name="w")
+            for _ in range(2)
+        )
+        assert t1 is not u1 and t1._pid == u1._pid
+        x = tw.pow_elem(t1, t1.root(1), 5)
+        size = len(caches["ops"])
+        assert tw.pow_elem(u1, u1.root(1), 5) == x
+        assert len(caches["ops"]) == size  # u1 hits t1's entries
+        base = Tower(AB, caches=caches)
+        others = [
+            base.extend_centralizer(tw.from_word(base, (1, 2)), 3, name="w"),
+            base.extend_centralizer(tw.from_word(base, (1, 2)), 2, name="y"),
+            base.extend_centralizer(tw.from_word(base, (1, -2)), 2, name="w"),
+        ]
+        assert len({t._pid[1] for t in [t1] + others}) == 4
+        # one step over different parents
+        v = tw.from_word(t1, (1, -2))
+        tops = [t.extend_centralizer(v, 2, name="z") for t in (t1, others[1])]
+        assert tops[0].steps[1] == tops[1].steps[1]
+        assert tops[0]._pid[2] != tops[1]._pid[2]
+        assert [t._pid[0] for t in tops] == [0, 0]
+
+
+CERTIFICATE_SCRIPT = """
+import sys
+from freeq import tower as tw, words
+from freeq.words import Alphabet
+
+if __debug__:
+    sys.exit("expected python -O")
+t0 = tw.Tower(Alphabet(("a", "b")))
+t1 = t0.extend_centralizer(tw.from_word(t0, (1, 2)), 2, name="w")
+
+
+def probe(name, fn):
+    try:
+        fn()
+    except tw.CertificateError:
+        print(name, "raised")
+    else:
+        print(name, "passed")
+
+
+tw.equal = lambda t, a, b: False
+probe("conjugate_in_tower", lambda: tw.conjugate_in_tower(t0, (1, 2), (2, 1)))
+probe("class_rep level 1", lambda: tw.class_rep(t1, t1.root(1)))
+words.mul = lambda *ws: ()
+probe("class_rep level 0", lambda: tw.class_rep(t0, (1, 2)))
+"""
+
+
+def test_certificate_checks_survive_O():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tw.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "conjugate_in_tower raised", "class_rep level 1 raised", "class_rep level 0 raised"
+    ]
 
 
 class TestSerialization:

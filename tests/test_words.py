@@ -2,6 +2,7 @@
 and the relator-area search."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,31 @@ def random_reduced(rng, max_len, alphabet=AB):
         if out and out[-1] == -x:
             continue
         out.append(x)
+    return tuple(out)
+
+
+def rotation_witness(w1, w2):
+    """The rotation-by-rotation search conjugacy_witness replaced: the oracle
+    for its first-matching-rotation witness."""
+    r1, r2 = words.cyclic_reduce(w1), words.cyclic_reduce(w2)
+    if len(r1.core) != len(r2.core):
+        return None
+    core = r1.core
+    for i in range(max(1, len(core))):
+        if core[i:] + core[:i] == r2.core:
+            c = words.mul(r1.conjugator, core[:i], words.inverse(r2.conjugator))
+            if words.conjugate(w1, c) == w2:
+                return c
+    return None
+
+
+def cyclic_word(rng, n):
+    """A cyclically reduced word of exactly n >= 2 letters over a, b."""
+    out = [1]
+    while len(out) < n:
+        x = rng.choice([1, -1, 2, -2])
+        if x != -out[-1] and (len(out) < n - 1 or x != -out[0]):
+            out.append(x)
     return tuple(out)
 
 
@@ -103,6 +129,31 @@ class TestConjugacy:
             c = words.conjugacy_witness(w, other)
             assert c is not None
             assert words.conjugate(w, c) == other
+
+    def test_witness_matches_rotation_oracle(self):
+        rng = random.Random(16)
+        abc = Alphabet(("a", "b", "c"))
+        for i in range(500):
+            alphabet = abc if i % 2 else AB
+            u = random_reduced(rng, 4, alphabet)
+            w = words.power(u, rng.randint(1, 4)) if i % 5 == 0 else random_reduced(rng, 12, alphabet)
+            if i % 3:
+                other = words.conjugate(w, random_reduced(rng, 6, alphabet))
+            else:
+                other = random_reduced(rng, 12, alphabet)
+            assert words.conjugacy_witness(w, other) == rotation_witness(w, other)
+
+    def test_long_pair_linear(self):
+        rng = random.Random(17)
+        core = cyclic_word(rng, 4000)
+        w1 = words.conjugate(core, random_reduced(rng, 10))
+        w2 = words.conjugate(core, core[:3000])  # the rotation by 3000 letters
+        t0 = time.perf_counter()
+        c = words.conjugacy_witness(w1, w2)
+        elapsed = time.perf_counter() - t0
+        assert c == rotation_witness(w1, w2)
+        assert words.conjugate(w1, c) == w2
+        assert elapsed < 0.05
 
     def test_equivalence_and_invariance(self):
         rng = random.Random(15)
