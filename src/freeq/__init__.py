@@ -19,7 +19,6 @@ from .words import (
     is_primitive,
     mul,
     power,
-    primitive_root,
 )
 from .stallings import (
     CoreGraph,

@@ -276,23 +276,17 @@ def _verdict_exit(v: constructions.Verdict) -> int:
     return EXIT_ABSENT
 
 
-def _cmd_check_hnn(args, out: _Output) -> int:
-    obj = _load_construction(args.file, {"hnn"})
-    try:
-        data = constructions.hnn_from_json(obj)
-        verdict = constructions.check_separated_hnn(data)
-    except (WordSyntaxError, constructions.IsoError, ValueError) as ex:
-        raise InputError("invalid-input", str(ex))
-    for key, value in constructions.verdict_to_json(verdict).items():
-        out.put(key, value)
-    return _verdict_exit(verdict)
+_CHECKS = {
+    "hnn": (constructions.hnn_from_json, constructions.check_separated_hnn),
+    "amalgam": (constructions.amalgam_from_json, constructions.check_amalgam),
+}
 
 
-def _cmd_check_amalgam(args, out: _Output) -> int:
-    obj = _load_construction(args.file, {"amalgam"})
+def _cmd_check(args, out: _Output) -> int:
+    obj = _load_construction(args.file, {args.kind})
+    from_json, check = _CHECKS[args.kind]
     try:
-        data = constructions.amalgam_from_json(obj)
-        verdict = constructions.check_amalgam(data)
+        verdict = check(from_json(obj))
     except (WordSyntaxError, constructions.IsoError, ValueError) as ex:
         raise InputError("invalid-input", str(ex))
     for key, value in constructions.verdict_to_json(verdict).items():
@@ -348,10 +342,7 @@ def _cmd_tower_show(args, out: _Output) -> int:
 
 def _cmd_vn_list(args, out: _Output) -> int:
     a = _alphabet(args.base)
-    try:
-        ti = qcompletion.tower_level(a, args.n, max_level=max(args.max_level, args.n))
-    except ResourceCapError as ex:
-        raise InputError("resource-cap", str(ex))
+    ti = qcompletion.tower_level(a, args.n, max_level=max(args.max_level, args.n))
     table = ti.tables[args.n - 1]
     out.put("n", args.n)
     out.put("elements", list(table.texts))
@@ -377,10 +368,7 @@ def _parse_q(session: QSession, text: str):
 def _cmd_qword_normalize(args, out: _Output) -> int:
     session = _qsession(args)
     q = _parse_q(session, args.expr)
-    try:
-        e = session.normalize(q)
-    except ResourceCapError as ex:
-        raise InputError("resource-cap", str(ex))
+    e = session.normalize(q)
     out.put("canonical", session.canonical_text(e))
     out.put("level", session.locate(e))
     out.put("depth", qcompletion.depth(q))
@@ -391,12 +379,9 @@ def _cmd_qword_equal(args, out: _Output) -> int:
     session = _qsession(args)
     q1 = _parse_q(session, args.expr1)
     q2 = _parse_q(session, args.expr2)
-    try:
-        eq = session.q_equal(q1, q2)
-        out.put("equal", eq)
-        out.put("canonical", session.canonical_text(session.normalize(q1)))
-    except ResourceCapError as ex:
-        raise InputError("resource-cap", str(ex))
+    eq = session.q_equal(q1, q2)
+    out.put("equal", eq)
+    out.put("canonical", session.canonical_text(session.normalize(q1)))
     return EXIT_OK if eq else EXIT_NEGATIVE
 
 
@@ -404,10 +389,7 @@ def _cmd_qword_conj(args, out: _Output) -> int:
     session = _qsession(args)
     q1 = _parse_q(session, args.expr1)
     q2 = _parse_q(session, args.expr2)
-    try:
-        status, c = session.q_conjugate(q1, q2)
-    except ResourceCapError as ex:
-        raise InputError("resource-cap", str(ex))
+    status, c = session.q_conjugate(q1, q2)
     out.put("status", status)
     if status == tower.CONJUGATE:
         out.put("conjugator", tower.serialize(session.tower, session.top(c)))
@@ -473,11 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-hnn", help="hyperbolicity of a separated HNN-extension")
     p.add_argument("file", help="construction JSON file (kind: hnn)")
-    p.set_defaults(func=_cmd_check_hnn)
+    p.set_defaults(func=_cmd_check, kind="hnn")
 
     p = sub.add_parser("check-amalgam", help="hyperbolicity of an amalgam of free groups")
     p.add_argument("file", help="construction JSON file (kind: amalgam)")
-    p.set_defaults(func=_cmd_check_amalgam)
+    p.set_defaults(func=_cmd_check, kind="amalgam")
 
     twr = sub.add_parser("tower", help="iterated centralizer-extension towers")
     tsub = twr.add_subparsers(dest="verb", required=True)
@@ -525,8 +507,9 @@ def run(argv=None) -> int:
     out = _Output(args.json)
     try:
         code = args.func(args, out)
-    except InputError as ex:
-        out.put("error", {"code": ex.code, "message": str(ex)})
+    except (InputError, ResourceCapError) as ex:
+        code = ex.code if isinstance(ex, InputError) else "resource-cap"
+        out.put("error", {"code": code, "message": str(ex)})
         out.emit()
         return EXIT_INPUT
     out.emit()

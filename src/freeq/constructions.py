@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import homs, stallings
 from .stallings import CoreGraph, build_core, express, free_basis
-from .words import Alphabet, Presentation, Word, inverse, mul, power
+from .words import Alphabet, CertificateError, Presentation, Word, inverse, mul, power
 
 OUTCOME_HYPERBOLIC = "hyperbolic"
 OUTCOME_NOT_HYPERBOLIC = "not-hyperbolic"
@@ -132,7 +132,8 @@ def _hnn_witness_intersection(data: HNNData, gU, gV, inter) -> dict:
     beta = _cyclic_exponent(gV, mul(g, h, inverse(g)))
     x = [("t", 1)] + list(g)
     lhs = homs.hnn_inverse(x) + list(power(h, beta)) + x + list(power(h, -alpha))
-    assert homs.hnn_is_identity(ctx, lhs), "witness relation failed Britton check"
+    if not homs.hnn_is_identity(ctx, lhs):
+        raise CertificateError("witness relation failed Britton check")
     kind = "commuting-pair" if abs(alpha) == abs(beta) else "baumslag-solitar-relation"
     return {
         "kind": kind,
@@ -157,7 +158,8 @@ def _hnn_witness_pair(data: HNNData, gU, gV, csU, csV) -> dict:
         + list(power(g1, 2))
     ) * 2
     y = list(c)
-    assert homs.hnn_commute(ctx, x, y), "witness pair failed commutation check"
+    if not homs.hnn_commute(ctx, x, y):
+        raise CertificateError("witness pair failed commutation check")
     return {
         "kind": "commuting-pair",
         "x": "(t" + base.format(power(g2, 2)) + "T" + base.format(power(g1, 2)) + ")^2",
@@ -206,7 +208,8 @@ def _amalgam_witness_pair(data: AmalgamData, gU, csU, csV) -> dict:
     z = free_basis(gU)[0]
     x = [("L", g1), ("R", g2)] * 2
     y = [("L", z)]
-    assert homs.amalgam_commute(ctx, x, y), "witness pair failed commutation check"
+    if not homs.amalgam_commute(ctx, x, y):
+        raise CertificateError("witness pair failed commutation check")
     return {
         "kind": "commuting-pair",
         "x": f"({left.format(g1)}*{right.format(g2)})^2",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .stallings import CoreGraph, build_core, express, free_basis
+from .stallings import build_core, contains, express
 from .words import Alphabet, Word, free_reduce, inverse, mul
 
 Abstract = Tuple[int, ...]  # word over abstract symbols +-(i+1), freely reduced
@@ -95,9 +95,6 @@ class SubgroupHom:
         self._chord_images = [_substitute(b, images) for b in basis_expr]
         self.valid = True
 
-    def contains(self, w: Word) -> bool:
-        return self.graph.trace(w) == 0
-
     def apply(self, w: Word) -> Word:
         d = express(self.graph, w)
         if d is None:
@@ -145,42 +142,33 @@ def hnn_parse(alphabet: Alphabet, text: str) -> list:
     return out
 
 
-def _hnn_syllables(tokens: list):
-    """Alternating [word, eps, word, eps, ..., word] with eps = +-1 (t-signs)."""
-    sylls: list = [[]]
-    for tok in tokens:
-        if isinstance(tok, tuple):
-            sylls.append(tok[1])
-            sylls.append([])
-        else:
-            sylls[-1].append(tok)
-    return sylls
-
-
 def hnn_reduce(ctx: HnnContext, tokens: list) -> list:
-    """Britton reduction: no t^-1 u t with u in U, no t v t^-1 with v in V remains."""
-    sylls = _hnn_syllables(tokens)
-    words = [free_reduce(s) for s in sylls[0::2]]
-    signs = list(sylls[1::2])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(signs) - 1):
-            w = words[i + 1]
-            if signs[i] == -1 and signs[i + 1] == 1 and ctx.psi.contains(w):
-                repl = ctx.psi.apply(w)
-            elif signs[i] == 1 and signs[i + 1] == -1 and ctx.psi_inv.contains(w):
-                repl = ctx.psi_inv.apply(w)
-            else:
-                continue
-            words[i : i + 3] = [mul(words[i], repl, words[i + 2])]
-            signs[i : i + 2] = []
-            changed = True
-            break
-    out: list = list(words[0])
+    """Britton reduction: no t^-1 u t with u in U, no t v t^-1 with v in V remains.
+
+    One left-to-right pass keeps a reduced stack of t-signs and the words
+    between them.  Each new t-sign is checked against the one on top around
+    the word between them, so the leftmost pinch is always applied first.
+    """
+    words: list = [[]]
+    signs: list = []
+    for tok in tokens:
+        if not isinstance(tok, tuple):
+            words[-1].append(tok)
+            continue
+        eps = tok[1]
+        hom = ctx.psi if eps == 1 else ctx.psi_inv
+        mid = free_reduce(words.pop())
+        if signs and signs[-1] == -eps and contains(hom.graph, mid):
+            signs.pop()
+            words[-1].extend(hom.apply(mid))
+        else:
+            words.append(list(mid))
+            signs.append(eps)
+            words.append([])
+    out: list = list(free_reduce(words[0]))
     for eps, w in zip(signs, words[1:]):
         out.append(("t", eps))
-        out.extend(w)
+        out.extend(free_reduce(w))
     return out
 
 
@@ -232,40 +220,36 @@ Syllable = Tuple[str, Word]  # ("L"|"R", word in that factor)
 
 
 def amalgam_reduce(ctx: AmalgamContext, sylls: Sequence[Syllable]) -> List[Syllable]:
-    """Reduced sequence: alternating sides, no interior syllable in the edge subgroup."""
-    cur: List[Syllable] = [(side, free_reduce(w)) for side, w in sylls]
-    changed = True
-    while changed:
-        changed = False
-        # drop trivial syllables, merge adjacent same-side ones
-        merged: List[Syllable] = []
-        for side, w in cur:
-            if not w:
-                continue
-            if merged and merged[-1][0] == side:
-                merged[-1] = (side, mul(merged[-1][1], w))
-                if not merged[-1][1]:
-                    merged.pop()
+    """Reduced sequence: alternating sides, no syllable in the edge subgroup
+    unless it is the only one.
+
+    One left-to-right pass over a reduced stack: a new syllable merges into
+    a top on its side, and a syllable in the edge subgroup crosses over to
+    merge with its neighbour.
+    """
+
+    def in_edge(side, w):
+        return contains((ctx.psi if side == "L" else ctx.psi_inv).graph, w)
+
+    def cross(side, w):
+        if side == "L":
+            return "R", ctx.psi.apply(w)
+        return "L", ctx.psi_inv.apply(w)
+
+    stack: List[Syllable] = []
+    for side, w in sylls:
+        w = free_reduce(w)
+        while w:
+            if stack and stack[-1][0] == side:
+                w = mul(stack.pop()[1], w)
+            elif stack and in_edge(side, w):
+                side, w = cross(side, w)
+            elif len(stack) == 1 and in_edge(*stack[0]):
+                w = mul(cross(*stack.pop())[1], w)
             else:
-                merged.append((side, w))
-        if not merged:
-            merged = [("L", ())]
-        if merged != cur:
-            cur = merged
-            changed = True
-            continue
-        if len(cur) <= 1:
-            break
-        for i, (side, w) in enumerate(cur):
-            if side == "L" and ctx.psi.contains(w):
-                cur[i] = ("R", ctx.psi.apply(w))
-                changed = True
+                stack.append((side, w))
                 break
-            if side == "R" and ctx.psi_inv.contains(w):
-                cur[i] = ("L", ctx.psi_inv.apply(w))
-                changed = True
-                break
-    return cur
+    return stack or [("L", ())]
 
 
 def amalgam_is_identity(ctx: AmalgamContext, sylls: Sequence[Syllable]) -> bool:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple, Union
 from . import tower as tw
 from .tower import Elem, Form, ResourceCapError, Tower
 from .tower import exponent_vector as abelian_vector  # noqa: F401  re-exported
-from .words import Alphabet, WordSyntaxError
+from .words import Alphabet, CertificateError, WordSyntaxError
 
 
 class QSyntaxError(WordSyntaxError):
@@ -263,7 +263,8 @@ class QSession:
             return tw.pow_elem(self.tower, self.top(chain.rep), int(rho))
         self._ensure_denominator(chain, rho.denominator)
         exponent = rho * chain.index
-        assert exponent.denominator == 1
+        if exponent.denominator != 1:
+            raise CertificateError("class root index does not clear the denominator")
         return tw.pow_elem(self.tower, self._chain_root(chain), int(exponent))
 
     def _root_power(self, root: Elem, r: Fraction) -> Elem:

@@ -7,6 +7,7 @@ graph and fiber products over the rose.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -116,8 +117,17 @@ def _edge_maps(edges):
 
 
 def _fold(num_vertices: int, edges: List[Tuple[int, int, int]], basepoint: int):
-    """Fold edge list in place (union-find); returns (vertex map, folded edges, basepoint)."""
+    """Fold an edge list; returns (folded edges, basepoint).
+
+    Worklist folding (Touikan): each vertex maps its signed letters to
+    neighbours, two ends under one letter are queued to be merged, and a
+    merge moves one map into the other, queueing the clashes.  Stored
+    neighbours may be merged vertices; find resolves them.  The folded
+    graph does not depend on the merge order.
+    """
     parent = list(range(num_vertices))
+    adj: List[dict] = [{} for _ in range(num_vertices)]
+    queue = []
 
     def find(x):
         while parent[x] != x:
@@ -125,44 +135,24 @@ def _fold(num_vertices: int, edges: List[Tuple[int, int, int]], basepoint: int):
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    def attach(u, letter, v):
+        w = adj[u].setdefault(letter, v)
+        if w != v:
+            queue.append((w, v))
 
-    changed = True
-    while changed:
-        changed = False
-        out: Dict[Tuple[int, int], int] = {}
-        inn: Dict[Tuple[int, int], int] = {}
-        for (u, g, v) in edges:
-            u, v = find(u), find(v)
-            if (u, g) in out and out[(u, g)] != v:
-                union(out[(u, g)], v)
-                changed = True
-                break
-            out[(u, g)] = v
-            if (v, g) in inn and inn[(v, g)] != u:
-                union(inn[(v, g)], u)
-                changed = True
-                break
-            inn[(v, g)] = u
+    for (u, g, v) in edges:
+        attach(u, g, v)
+        attach(v, -g, u)
+    while queue:
+        a, b = (find(x) for x in queue.pop())
+        if a == b:
+            continue
+        parent[b] = a
+        for letter, v in adj[b].items():
+            attach(a, letter, v)
+        adj[b] = {}
     folded = sorted({(find(u), g, find(v)) for (u, g, v) in edges})
-    return find, folded, find(basepoint)
-
-
-def _trim(edges, basepoint):
-    """Remove non-basepoint vertices of degree 1 (hair)."""
-    edges = list(edges)
-    while True:
-        deg: Dict[int, int] = {}
-        for (u, g, v) in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        hair = [x for x, d in deg.items() if d == 1 and x != basepoint]
-        if not hair:
-            return edges
-        edges = [e for e in edges if e[0] not in hair and e[2] not in hair]
+    return folded, find(basepoint)
 
 
 def _canonical(alphabet: Alphabet, edges, basepoint) -> CoreGraph:
@@ -173,12 +163,17 @@ def _canonical(alphabet: Alphabet, edges, basepoint) -> CoreGraph:
         return out.get((x, letter)) if letter > 0 else inn.get((x, -letter))
 
     order = {x: i for i, x in enumerate(_bfs(step, basepoint, alphabet.size))}
-    new_edges = sorted((order[u], g, order[v]) for (u, g, v) in edges if u in order)
-    return CoreGraph(alphabet, max(1, len(order)), tuple(new_edges))
+    new_edges = sorted((order[u], g, order[v]) for (u, g, v) in edges)
+    return CoreGraph(alphabet, len(order), tuple(new_edges))
 
 
 def build_core(alphabet: Alphabet, generators) -> CoreGraph:
-    """Folded basepointed core graph of the subgroup generated by the given words."""
+    """Folded basepointed core graph of the subgroup generated by the given words.
+
+    No hair needs trimming: each freely reduced generator traces a reduced
+    closed path in the folded graph, which can only turn back at the
+    basepoint, so every other vertex keeps degree at least 2.
+    """
     edges: List[Tuple[int, int, int]] = []
     nv = 1
     for w in generators:
@@ -195,8 +190,7 @@ def build_core(alphabet: Alphabet, generators) -> CoreGraph:
             else:
                 edges.append((nxt, -x, prev))
             prev = nxt
-    _, folded, base = _fold(nv, edges, 0)
-    folded = _trim(folded, base)
+    folded, base = _fold(nv, edges, 0)
     return _canonical(alphabet, folded, base)
 
 
@@ -263,35 +257,51 @@ def _pair_step(g1: CoreGraph, g2: CoreGraph):
 
 
 def fiber_product(g1: CoreGraph, g2: CoreGraph) -> List[FiberComponent]:
-    """The components of the pullback that carry at least one edge, in order
-    of their least (p, q) pair.
+    """The components of the pullback that contain a cycle, in order of their
+    least (p, q) pair.
 
-    A pair with no edge would be a one-vertex tree component; none is
-    returned.  Edges are built one generator at a time from the two edge
-    lists, so the cost is the number of edge pairs, not of vertex pairs.
+    Tree components carry no common element and none is returned.  Pair
+    (p, q) has id p * n2 + q; a union-find over the pairs of equally
+    labelled edges keeps the least id of each component as its root and
+    collects the roots where an edge closed a cycle.  Each of those
+    components is then walked once by BFS from its least pair.
     """
     if g1.alphabet != g2.alphabet:
         raise ValueError("fiber product needs a common alphabet")
-    size = g1.alphabet.size
+    size, n2 = g1.alphabet.size, g2.num_vertices
+    parent = array("q", range(g1.num_vertices * n2))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
     by_gen: Dict[int, list] = {g: [] for g in range(1, size + 1)}
     for (q, g, q2) in g2.edges:
         by_gen[g].append((q, q2))
-    edges = sorted(((p, q), g, (p2, q2)) for (p, g, p2) in g1.edges for (q, q2) in by_gen[g])
+    closed = []
+    for (p, g, p2) in g1.edges:
+        for (q, q2) in by_gen[g]:
+            a, b = find(p * n2 + q), find(p2 * n2 + q2)
+            if a == b:
+                closed.append(a)
+            else:
+                parent[max(a, b)] = min(a, b)
     step = _pair_step(g1, g2)
-    component: Dict[Tuple[int, int], int] = {}
-    vertex_sets: List[tuple] = []
-    for x in sorted({x for (a, _, b) in edges for x in (a, b)}):
-        if x not in component:
-            tree = _bfs(step, x, size)
-            component.update(dict.fromkeys(tree, len(vertex_sets)))
-            vertex_sets.append(tuple(sorted(tree)))
-    comp_edges: List[list] = [[] for _ in vertex_sets]
-    for e in edges:
-        comp_edges[component[e[0]]].append(e)
-    return [
-        FiberComponent(vs, tuple(es), contains_basepoint=vs[0] == (0, 0))
-        for vs, es in zip(vertex_sets, comp_edges)
-    ]
+    comps = []
+    for root in sorted({find(x) for x in closed}):
+        vertices = tuple(sorted(_bfs(step, divmod(root, n2), size)))
+        edges = tuple(
+            (x, g, y)
+            for x in vertices
+            for g in range(1, size + 1)
+            if (y := step(x, g)) is not None
+        )
+        comps.append(FiberComponent(vertices, edges, contains_basepoint=root == 0))
+    return comps
 
 
 def _cycle_witness(comp: FiberComponent, g1: CoreGraph, g2: CoreGraph):
@@ -327,7 +337,7 @@ def is_conjugate_separated(graph: CoreGraph) -> SeparationResult:
     On failure returns x not in U and a nontrivial u in U with u^x in U.
     """
     for comp in fiber_product(graph, graph):
-        if comp.contains_basepoint or comp.betti == 0:
+        if comp.contains_basepoint:
             continue
         alpha, beta, u = _cycle_witness(comp, graph, graph)
         return SeparationResult(False, witness=mul(alpha, inverse(beta)), common_element=u)
@@ -340,8 +350,6 @@ def conjugate_intersections_finite(gU: CoreGraph, gV: CoreGraph) -> SeparationRe
     On failure returns g and a nontrivial common element of U and g^-1 V g.
     """
     for comp in fiber_product(gU, gV):
-        if comp.betti == 0:
-            continue
         alpha, beta, u = _cycle_witness(comp, gU, gV)
         return SeparationResult(False, witness=mul(beta, inverse(alpha)), common_element=u)
     return SeparationResult(True)

@@ -17,17 +17,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import words
-from .words import Alphabet, Word
+from .words import Alphabet, CertificateError, Word
 
 Elem = Union[tuple, "Form"]  # level-0 elements are plain Words
 
 
 class ResourceCapError(RuntimeError):
     """A tower operation exceeded the configured level cap."""
-
-
-class CertificateError(RuntimeError):
-    """A certificate failed its replay check, so the answer it backs is wrong."""
 
 
 @dataclass(frozen=True, slots=True)

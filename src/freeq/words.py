@@ -22,6 +22,10 @@ class WordSyntaxError(ValueError):
     """Raised for malformed word text or unknown generator symbols."""
 
 
+class CertificateError(RuntimeError):
+    """A certificate failed its replay check, so the answer it backs is wrong."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite generating set.  Lowercase letter = generator, uppercase = inverse."""
@@ -115,12 +119,11 @@ class CyclicWord:
 
 
 def cyclic_reduce(w: Word) -> CyclicWord:
-    conj = []
-    core = list(w)
-    while len(core) >= 2 and core[0] == -core[-1]:
-        conj.append(core[0])
-        core = core[1:-1]
-    return CyclicWord(core=tuple(core), conjugator=tuple(conj))
+    w = tuple(w)
+    n, k = len(w), 0
+    while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
+        k += 1
+    return CyclicWord(core=w[k : n - k], conjugator=w[:k])
 
 
 def is_conjugate(w1: Word, w2: Word) -> bool:
@@ -167,10 +170,6 @@ def extract_root(w: Word):
 
 def is_primitive(w: Word) -> bool:
     return extract_root(w)[1] == 1
-
-
-def primitive_root(w: Word) -> Word:
-    return extract_root(w)[0]
 
 
 def gromov_product(x: Word, y: Word, o: Word = IDENTITY) -> Fraction:

@@ -210,6 +210,27 @@ class TestTower:
         assert code == 3
         assert doc["error"]["code"] == "invalid-input"
 
+    def test_resource_cap(self, capsys, tmp_path):
+        # a^(1/5) needs root index 4 over the default max_level of 3
+        deep = tmp_path / "deep.json"
+        deep.write_text(
+            json.dumps(
+                {
+                    "kind": "tower",
+                    "base": {"generators": ["a", "b"]},
+                    "steps": [{"v": "a^(1/5)", "m": 2}],
+                }
+            )
+        )
+        code, doc = run_json(capsys, "tower", "show", str(deep))
+        assert code == 3
+        assert doc == {
+            "error": {
+                "code": "resource-cap",
+                "message": "denominator 5 needs root index 4 > max_level 3 for class a",
+            }
+        }
+
 
 class TestVn:
     def test_list_v2(self, capsys):

@@ -4,9 +4,10 @@ malnormality, and finiteness of intersections with conjugates."""
 import hashlib
 import itertools
 import random
+import time
 
 from freeq import stallings, words
-from freeq.stallings import build_core, contains, fiber_product, free_basis
+from freeq.stallings import FiberComponent, build_core, contains, fiber_product, free_basis
 from freeq.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -86,6 +87,85 @@ class TestBuildCore:
         g = build_core(AB, [()])
         assert g.num_vertices == 1
         assert g.betti == 0
+
+    def test_matches_rescan_fold_oracle(self, monkeypatch):
+        rng = random.Random(28)
+        cases = []
+        for i in range(2000):
+            alphabet = (AB, ABC)[i % 2]
+            gens = random_subgroup(rng, 5, 10, alphabet.size)
+            cases.append((alphabet, gens, build_core(alphabet, gens).serialize()))
+        trimmed = []
+        monkeypatch.setattr(stallings, "_fold", lambda *a: rescan_fold(*a, trimmed))
+        for alphabet, gens, text in cases:
+            assert build_core(alphabet, gens).serialize() == text
+        assert trimmed == []  # hair trimming never had anything to remove
+
+    def test_many_short_generators(self):
+        rng = random.Random(29)
+        gens = [random_subgroup(rng, 1, 8, 3)[0] for _ in range(1500)]
+        t0 = time.perf_counter()
+        g = build_core(ABC, gens)
+        elapsed = time.perf_counter() - t0
+        assert all(contains(g, w) for w in gens)
+        assert elapsed < 1.0
+
+    def test_nested_conjugates(self):
+        # a^k b a^-k for k < 300: 90,000 letters folding onto one a-path,
+        # quadratic for a fold that rescans until a pass makes no merge
+        gens = [(1,) * k + (2,) + (-1,) * k for k in range(1, 300)]
+        t0 = time.perf_counter()
+        g = build_core(AB, gens)
+        elapsed = time.perf_counter() - t0
+        assert (g.num_vertices, g.betti) == (300, 299)
+        assert elapsed < 2.0
+
+
+def rescan_fold(num_vertices, edges, basepoint, trimmed):
+    """The fold that restarts its edge scan after every merge, followed by
+    the hair trimming, as build_core ran them before the one-pass fold: the
+    oracle for it.  Appends every trimmed vertex to `trimmed`."""
+    parent = list(range(num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    changed = True
+    while changed:
+        changed = False
+        out, inn = {}, {}
+        for (u, g, v) in edges:
+            u, v = find(u), find(v)
+            if (u, g) in out and out[(u, g)] != v:
+                union(out[(u, g)], v)
+                changed = True
+                break
+            out[(u, g)] = v
+            if (v, g) in inn and inn[(v, g)] != u:
+                union(inn[(v, g)], u)
+                changed = True
+                break
+            inn[(v, g)] = u
+    edges = sorted({(find(u), g, find(v)) for (u, g, v) in edges})
+    base = find(basepoint)
+    while True:
+        deg = {}
+        for (u, g, v) in edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        hair = [x for x, d in deg.items() if d == 1 and x != base]
+        if not hair:
+            return edges, base
+        trimmed.extend(hair)
+        edges = [e for e in edges if e[0] not in hair and e[2] not in hair]
 
 
 class TestMembership:
@@ -170,10 +250,28 @@ class TestQuasiconvexity:
                     assert len(words.mul(words.inverse(prefix), u)) <= eps
 
 
+def components_oracle(g1, g2):
+    """The components of the pullback with a cycle, found by a BFS from every
+    unvisited vertex pair in sorted order."""
+    size = g1.alphabet.size
+    step = stallings._pair_step(g1, g2)
+    seen = set()
+    out = []
+    for x in itertools.product(range(g1.num_vertices), range(g2.num_vertices)):
+        if x in seen:
+            continue
+        vertices = tuple(sorted(stallings._bfs(step, x, size)))
+        seen.update(vertices)
+        edges = [(y, g, step(y, g)) for y in vertices for g in range(1, size + 1)]
+        edges = tuple(e for e in edges if e[2] is not None)
+        if len(edges) >= len(vertices):
+            out.append(FiberComponent(vertices, edges, contains_basepoint=x == (0, 0)))
+    return out
+
+
 class TestFiberProduct:
     def test_disjoint_cyclic(self):
-        comps = fiber_product(core("a"), core("b"))
-        assert all(c.betti == 0 for c in comps)
+        assert fiber_product(core("a"), core("b")) == []
 
     def test_self_diagonal(self):
         comps = fiber_product(core("a"), core("a"))
@@ -190,6 +288,22 @@ class TestFiberProduct:
         comps = fiber_product(core("ab"), core("ba"))
         assert [c.vertices for c in comps] == [((0, 1), (1, 0))]
         assert comps[0].betti == 1 and not comps[0].contains_basepoint
+
+    def test_tree_beside_cycle(self):
+        # the basepoint pair spans a one-edge tree ((0, 0), (1, 1)); only the
+        # cyclic component beside it is returned
+        comps = fiber_product(core("ab"), core("aabA"))
+        assert [c.vertices for c in comps] == [((0, 1), (1, 2))]
+        assert comps[0].betti == 1 and not comps[0].contains_basepoint
+
+    def test_matches_components_oracle(self):
+        rng = random.Random(30)
+        for i in range(200):
+            alphabet = (AB, ABC)[i % 2]
+            gU = build_core(alphabet, random_subgroup(rng, 3, 6, alphabet.size))
+            gV = build_core(alphabet, random_subgroup(rng, 3, 6, alphabet.size))
+            for g1, g2 in ((gU, gV), (gU, gU)):
+                assert fiber_product(g1, g2) == components_oracle(g1, g2)
 
 
 class TestConjugateSeparated:

@@ -355,9 +355,11 @@ class TestCacheKeys:
 
 CERTIFICATE_SCRIPT = """
 import sys
-from freeq import tower as tw, words
-from freeq.words import Alphabet
+from fractions import Fraction
+from freeq import constructions as cs, homs, qcompletion, tower as tw, words
+from freeq.words import Alphabet, Presentation
 
+mul = words.mul
 if __debug__:
     sys.exit("expected python -O")
 t0 = tw.Tower(Alphabet(("a", "b")))
@@ -378,6 +380,18 @@ probe("conjugate_in_tower", lambda: tw.conjugate_in_tower(t0, (1, 2), (2, 1)))
 probe("class_rep level 1", lambda: tw.class_rep(t1, t1.root(1)))
 words.mul = lambda *ws: ()
 probe("class_rep level 0", lambda: tw.class_rep(t0, (1, 2)))
+
+words.mul = mul
+session = qcompletion.QSession(Alphabet(("a", "b")))
+session._ensure_denominator = lambda chain, q: None
+chain = qcompletion._Chain("a", (1,), [], [])
+probe("_class_power", lambda: session._class_power(chain, Fraction(1, 2)))
+AB, X, Y = (Presentation(Alphabet(tuple(n)), ()) for n in ("ab", "x", "y"))
+homs.hnn_is_identity = lambda ctx, tokens: False
+probe("hnn intersection witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, ((1,),), ((1, 1),))))
+probe("hnn pair witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, ((1, 1),), ((2, 2),))))
+homs.amalgam_is_identity = lambda ctx, sylls: False
+probe("amalgam pair witness", lambda: cs.check_amalgam(cs.AmalgamData(X, Y, ((1, 1),), ((1, 1, 1),))))
 """
 
 
@@ -390,8 +404,14 @@ def test_certificate_checks_survive_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == [
-        "conjugate_in_tower raised", "class_rep level 1 raised", "class_rep level 0 raised"
+    assert proc.stdout.split("\n")[:7] == [
+        "conjugate_in_tower raised",
+        "class_rep level 1 raised",
+        "class_rep level 0 raised",
+        "_class_power raised",
+        "hnn intersection witness raised",
+        "hnn pair witness raised",
+        "amalgam pair witness raised",
     ]
 
 

@@ -155,6 +155,23 @@ class TestConjugacy:
         assert words.conjugate(w1, c) == w2
         assert elapsed < 0.05
 
+    def test_long_conjugator_linear(self):
+        # x^-1 a x with |x| = 4,000: cyclic_reduce peels 4,000 letter pairs
+        rng = random.Random(18)
+        x = [2]  # starts with b, so nothing cancels against a
+        while len(x) < 4000:
+            letter = rng.choice([1, -1, 2, -2])
+            if letter != -x[-1]:
+                x.append(letter)
+        x = tuple(x)
+        w = words.conjugate(W("a"), x)
+        t0 = time.perf_counter()
+        c = words.conjugacy_witness(w, W("a"))
+        elapsed = time.perf_counter() - t0
+        assert words.cyclic_reduce(w) == words.CyclicWord(W("a"), words.inverse(x))
+        assert c == words.inverse(x)
+        assert elapsed < 0.01
+
     def test_equivalence_and_invariance(self):
         rng = random.Random(15)
         sample = [random_reduced(rng, 6) for _ in range(20)]
