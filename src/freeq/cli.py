@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = decided/computed, 1 = negative decision, 2 = absent within
-the search bound, 3 = input error.  With --json every result is a single
-JSON document (sorted keys, so byte-identical across runs); rationals are
-always printed as exact "p/q" strings.
+the search bound, 3 = input error or resource cap, 4 = internal error (a
+certificate failed its check, so no answer is printed).  With --json every
+result is a single JSON document (sorted keys, so byte-identical across
+runs); rationals are always printed as exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import jsonschema
 from . import constructions, qcompletion, stallings, tower, words
 from .qcompletion import QSession, parse_qword
 from .tower import ResourceCapError, Tower
-from .words import Alphabet, Presentation, WordSyntaxError
+from .words import Alphabet, CertificateError, Presentation, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ABSENT = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -507,11 +509,13 @@ def run(argv=None) -> int:
     out = _Output(args.json)
     try:
         code = args.func(args, out)
-    except (InputError, ResourceCapError) as ex:
-        code = ex.code if isinstance(ex, InputError) else "resource-cap"
-        out.put("error", {"code": code, "message": str(ex)})
-        out.emit()
-        return EXIT_INPUT
+    except (InputError, ResourceCapError, CertificateError) as ex:
+        if isinstance(ex, CertificateError):
+            error, code = "internal", EXIT_INTERNAL
+        else:
+            error = ex.code if isinstance(ex, InputError) else "resource-cap"
+            code = EXIT_INPUT
+        out.put("error", {"code": error, "message": str(ex)})
     out.emit()
     return code
 

@@ -23,7 +23,12 @@ Elem = Union[tuple, "Form"]  # level-0 elements are plain Words
 
 
 class ResourceCapError(RuntimeError):
-    """A tower operation exceeded the configured level cap."""
+    """A tower operation exceeded a cap: the level cap or MAX_POWER_LENGTH."""
+
+
+# Longest power pow_elem builds, counted as |n| * elem_len(e): a larger one
+# raises ResourceCapError instead of multiplying without limit.
+MAX_POWER_LENGTH = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,7 +276,11 @@ def inv(t: Tower, e: Elem) -> Elem:
 
 def pow_elem(t: Tower, e: Elem, n: int) -> Elem:
     if n < 0:
-        return pow_elem(t, inv(t, e), -n)
+        e, n = inv(t, e), -n
+    if n > 1 and n * elem_len(t, e) > MAX_POWER_LENGTH:
+        raise ResourceCapError(
+            f"power {n} of a length-{elem_len(t, e)} element exceeds {MAX_POWER_LENGTH} letters"
+        )
     out = identity(t, level_of(e))
     acc = e
     while n:
@@ -299,54 +308,39 @@ def _vpow(t: Tower, lvl: int, k: int) -> Elem:
 
 
 def _normalize(t: Tower, lvl: int, hs: List[Elem], ss: List[Fraction]) -> Form:
-    """Merge pinches, bring exponents into (0,1) pushing overflow rightward,
-    then replace interior syllables by their left-coset representatives."""
+    """Canonical form of h0 v^s1 h1 ... v^sn hn.  One left-to-right stack pass
+    brings exponents into (0,1), overflow pushed into the next factor; a
+    whole exponent merges its neighbours, and a pinch (an interior factor in
+    <v>, tested only when a fractional syllable follows it) merges the
+    syllables around it.  Then each factor followed by a syllable becomes
+    its left-coset representative, the v-power overflow carried rightward."""
     step = t.step_at(lvl)
     v = step.v
-    while True:
-        changed = False
-        for i, s in enumerate(ss):
-            if s.denominator == 1 or not (0 < s < 1):
-                k = math.floor(s)
-                frac = s - k
-                if frac == 0:
-                    hs[i] = mul(t, hs[i], _vpow(t, lvl, k), hs[i + 1]) if k else mul(
-                        t, hs[i], hs[i + 1]
-                    )
-                    del ss[i]
-                    del hs[i + 1]
-                else:
-                    ss[i] = frac
-                    hs[i + 1] = mul(t, _vpow(t, lvl, k), hs[i + 1])
-                changed = True
-                break
-        if changed:
-            continue
-        for i in range(1, len(hs) - 1):
-            k = is_in_cyclic(t, hs[i], v)
+    out_h, out_s = [hs[0]], []
+    for s, h in zip(ss, hs[1:]):
+        if out_s and s.denominator != 1:
+            k = is_in_cyclic(t, out_h[-1], v)
             if k is not None:
-                ss[i - 1] = ss[i - 1] + k + ss[i]
-                del ss[i]
-                del hs[i]
-                changed = True
-                break
-        if not changed:
-            break
-    for s in ss:
+                out_h.pop()
+                s += out_s.pop() + k
+        k = math.floor(s)
+        if k:
+            h = mul(t, _vpow(t, lvl, k), h)
+        if s == k:
+            out_h[-1] = mul(t, out_h[-1], h)
+        else:
+            out_s.append(s - k)
+            out_h.append(h)
+    for s in out_s:
         if step.m % s.denominator:
             raise ValueError(f"exponent {s} incompatible with root index {step.m}")
-    # fix the left-coset representative of every factor followed by a syllable,
-    # pushing the v-power overflow into the next factor
     carry = 0
-    for i in range(len(hs)):
-        h = mul(t, _vpow(t, lvl, carry), hs[i]) if carry else hs[i]
-        if i < len(hs) - 1:
-            rep, k = coset_rep(t, h, v)
-            hs[i] = rep
-            carry = k
-        else:
-            hs[i] = h
-    return Form(lvl, tuple(hs), tuple(ss))
+    for i in range(len(out_s)):
+        h = mul(t, _vpow(t, lvl, carry), out_h[i]) if carry else out_h[i]
+        out_h[i], carry = coset_rep(t, h, v)
+    if carry:
+        out_h[-1] = mul(t, _vpow(t, lvl, carry), out_h[-1])
+    return Form(lvl, tuple(out_h), tuple(out_s))
 
 
 def canonical_form(t: Tower, e: Elem) -> Elem:
@@ -383,84 +377,80 @@ def exponent_vector(t: Tower, e: Elem):
         for x in e:
             out[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(Fraction(c) for c in out)
-    total = [Fraction(0)] * n
-    for h in e.hs:
-        for i, c in enumerate(exponent_vector(t, h)):
-            total[i] += c
+    vecs = [exponent_vector(t, h) for h in e.hs]
     if e.ss:
-        vvec = exponent_vector(t, t.step_at(e.level).v)
-        s_sum = sum(e.ss)
-        for i in range(n):
-            total[i] += s_sum * vvec[i]
-    return tuple(total)
+        vecs.append(tuple(sum(e.ss) * c for c in exponent_vector(t, t.step_at(e.level).v)))
+    return tuple(sum(col, Fraction(0)) for col in zip(*vecs))
 
 
 def is_in_cyclic(t: Tower, h: Elem, v: Elem) -> Optional[int]:
-    """The integer k with h = v^k, or None; v is assumed of infinite order."""
-    if is_trivial(h):
-        return 0
-    key = ("cyc", t._pid[level_of(h)], h, v)
-    cache = t._cache("ops")
-    if key in cache:
-        return cache[key]
-    result = None
-    vvec = exponent_vector(t, v)
-    if any(vvec):
-        # the exponent is forced by any nonzero coordinate
-        hvec = exponent_vector(t, h)
-        i = next(i for i, c in enumerate(vvec) if c)
-        k = hvec[i] / vvec[i]
-        if k.denominator == 1 and pow_elem(t, v, int(k)) == h:
-            result = int(k)
-    else:
-        # v abelianizes to zero; bounded search (powers cannot collapse far)
-        target = elem_len(t, h)
-        window = t.max_m * (target + 1) + 1
-        for k in range(1, window + 1):
-            pos = pow_elem(t, v, k)
-            if pos == h:
-                result = k
-                break
-            if inv(t, pos) == h:
-                result = -k
-                break
-    cache[key] = result
-    return result
+    """The integer k with h = v^k, or None: h lies in <v> exactly when the
+    least element of h<v> is the identity."""
+    rep, k = coset_rep(t, h, v)
+    return k if is_trivial(rep) else None
 
 
 def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
-    """Designated representative of the left coset h<v>: h = rep * v^k.
+    """Designated representative of the left coset h<v>: h = rep * v^k, with
+    rep the (elem_len, sort_key)-least element h v^-j of the coset, so every
+    member of the coset picks the same one.  h and v are canonical at one
+    level, v cyclically reduced.  Exact, by cases:
 
-    Minimal canonical length over the exponent window, shortlex tie-break;
-    the window is wide enough that every member of the coset picks the same
-    representative.
+    - Words.  s is the longest suffix of h that is a suffix of v^N or of
+      v^-N (not both, as v[-1] != v[0]^-1).  For q = s // |v|, |h v^-j| falls
+      by |v| per step up to q and rises by |v| per step from q+1, so the
+      least element is among j in {0, +-q, +-(q+1)}, sort_key breaking a tie.
+    - v without syllables at its level.  v^-j changes only h's trailing
+      factor, and sort_key compares the common prefix first: the trailing
+      factor's rep one level down, put back in place.
+    - v = w^+-1, the level's adjoined root (w^m = v_l).  With (c, k) the rep
+      of h's trailing factor in its coset of <v_l>, h = (h with trailing
+      factor c) w^(m k); if c is trivial, the last syllable s_n goes too, at
+      j = m (k + s_n).  Every other member has an extra syllable or a longer
+      trailing factor.
+    - Any other v.  v^j has n|j| syllables and the cancellation against h
+      stops after whole periods, so the key of h v^-j strictly falls, has a
+      plateau of at most two points, then strictly rises: walk downhill from
+      the exponent-vector centre (j = 0 for a zero vector) to the first rise.
     """
     key = ("rep", t._pid[level_of(h)], h, v)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    window = 2 * elem_len(t, h) + 2
-    exponents = set(range(-window, window + 1))
-    vvec = exponent_vector(t, v)
-    if any(vvec):
-        # powers of v can collapse to shorter elements (chain roots), so the
-        # minimal representative may sit near an abelianized exponent of h;
-        # every center shifts by d under h -> h v^d, keeping reps consistent
-        hvec = exponent_vector(t, h)
-        for i, c in enumerate(vvec):
-            if not c:
-                continue
-            center = round(hvec[i] / c)
-            exponents.update(range(center - window, center + window + 1))
-    best = None
-    for j in sorted(exponents):
-        cand = mul(t, h, pow_elem(t, v, -j))
-        k = (elem_len(t, cand), sort_key(t, cand))
-        if best is None or k < best[0]:
-            best = (k, cand, j)
-    _, rep, j = best
-    cache[key] = (rep, j)
-    return rep, j
+    if not isinstance(h, Form):
+        u, sign = (words.inverse(v), -1) if h and h[-1] == -v[0] else (v, 1)
+        s = 0
+        while s < len(h) and h[-1 - s] == u[-1 - s % len(u)]:
+            s += 1
+        q = s // len(u)
+        cands = [(words.mul(h, words.power(u, -j)), sign * j) for j in (0, q, q + 1)]
+        out = min(cands, key=lambda c: sort_key(t, c[0]))
+    elif not v.ss:
+        c, k = coset_rep(t, h.hs[-1], v.hs[0])
+        out = Form(h.level, h.hs[:-1] + (c,), h.ss), k
+    elif v in (w := t.root(h.level), inv(t, w)):
+        step = t.step_at(h.level)
+        m = step.m if v == w else -step.m
+        c, k = coset_rep(t, h.hs[-1], step.v)
+        if is_trivial(c) and h.ss:
+            out = Form(h.level, h.hs[:-1], h.ss[:-1]), int(m * (k + h.ss[-1]))
+        else:
+            out = Form(h.level, h.hs[:-1] + (c,), h.ss), m * k
+    else:
+        vvec = exponent_vector(t, v)
+        i = next((i for i, c in enumerate(vvec) if c), None)
+        j = start = 0 if i is None else round(exponent_vector(t, h)[i] / vvec[i])
+        rep = mul(t, h, pow_elem(t, v, -j))
+        rkey = sort_key(t, rep)
+        for d in (1, -1):
+            vd = pow_elem(t, v, -d)
+            while (ckey := sort_key(t, cand := mul(t, rep, vd))) < rkey:
+                rep, rkey, j = cand, ckey, j + d
+            if j != start:
+                break
+        out = rep, j
+    cache[key] = out
+    return out
 
 
 # -- cyclic reduction, roots, conjugacy --------------------------------------
@@ -629,14 +619,18 @@ def conjugate_in_tower(
 ) -> Tuple[str, Optional[Elem]]:
     """Tri-state conjugacy: (status, conjugator d with d^-1 f1 d = f2).
 
-    Syllable-free forms recurse to the level below (free conjugacy at the
-    base).  Forms with syllables are searched over cyclic rotations twisted
-    by v^j, |j| <= k_bound; exhausting the bound yields "absent-within-bound"
+    Different exponent vectors mean distinct: the vector is a conjugation
+    invariant, so the comparison is the certificate.  Syllable-free forms
+    recurse to the level below (free conjugacy at the base).  Forms with
+    syllables are searched over cyclic rotations twisted by v^j,
+    |j| <= k_bound; exhausting the bound yields "absent-within-bound"
     rather than a proof of non-conjugacy.
     """
     lvl = level_of(f1)
     if level_of(f2) != lvl:
         raise ValueError("forms must live at the same tower level")
+    if exponent_vector(t, f1) != exponent_vector(t, f2):
+        return DISTINCT, None
     x1, c1 = cyclic_decompose(t, f1)
     x2, c2 = cyclic_decompose(t, f2)
     if k_bound is None:

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import freeq
-from freeq import cli
+from freeq import cli, tower
 
 
 def run(capsys, *argv):
@@ -261,10 +262,36 @@ class TestQword:
         assert code == 1
         assert doc["status"] == "distinct"
 
+    def test_conj_different_vectors(self, capsys):
+        # exponent vectors (1/2, 3/2) and (3/2, 1/2): distinct, not absent
+        code, doc = run_json(capsys, "qword", "conj", "(ab)^(1/2)b", "(ab)^(1/2)a")
+        assert code == 1
+        assert doc == {"status": "distinct"}
+
     def test_resource_cap(self, capsys):
         code, doc = run_json(capsys, "qword", "normalize", "a^(1/5)", "--max-level", "2")
         assert code == 3
         assert doc["error"]["code"] == "resource-cap"
+
+    @pytest.mark.parametrize("expr", ["(ab)^(100000000/3)", "a^(30000000)"])
+    def test_power_cap(self, capsys, expr):
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "qword", "normalize", expr)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert doc["error"]["code"] == "resource-cap"
+
+    def test_internal_error(self, capsys, monkeypatch):
+        # a certificate that fails its check is exit 4, never an answer
+        monkeypatch.setattr(tower, "equal", lambda t, a, b: False)
+        code, doc = run_json(capsys, "qword", "conj", "Bab", "a")
+        assert code == 4
+        assert doc == {
+            "error": {"code": "internal", "message": "conjugator does not conjugate f1 to f2"}
+        }
+        code, out = run(capsys, "qword", "conj", "Bab", "a")
+        assert code == 4
+        assert "conjugator:" not in out and "verified" not in out and "internal" in out
 
     def test_syntax_error(self, capsys):
         code, doc = run_json(capsys, "qword", "normalize", "(a")

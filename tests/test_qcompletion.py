@@ -196,6 +196,32 @@ class TestConjugacy:
         status, c = s.q_conjugate("(ba)^(1/2)", "(ab)^(1/2)")
         assert status == tw.CONJUGATE
 
+    def test_different_vectors_distinct(self):
+        # the exponent vector is a conjugation invariant, so pairs whose
+        # vectors differ are decided distinct (five of these 80 pairs were
+        # absent-within-bound under the bounded twist search alone)
+        rng = random.Random(1)
+
+        def word():
+            return "".join(rng.choice("abAB") for _ in range(rng.randint(1, 2)))
+
+        def qword():
+            r = Fraction(rng.randint(1, 5), rng.choice([2, 3]))
+            return f"({word()})^({r}){word()}"
+
+        differ = 0
+        for _ in range(80):
+            p, q = qword(), qword()
+            s = session()
+            status, _ = s.q_conjugate(p, q)
+            vectors = [qc.abelian_vector(s.tower, s.top(s.normalize(x))) for x in (p, q)]
+            if vectors[0] != vectors[1]:
+                differ += 1
+                assert status == tw.DISTINCT, (p, q)
+            else:
+                assert status == tw.CONJUGATE, (p, q)
+        assert differ == 79
+
     def test_distinct_stable_under_conjugation(self):
         s = session()
         rng = random.Random(66)
@@ -203,6 +229,15 @@ class TestConjugacy:
             x = random_qword(rng, depth_budget=1)
             status, _ = s.q_conjugate(f"({x})^(-1) a ({x})", "b")
             assert status == tw.DISTINCT
+
+
+def test_pinned_query_cache_entries():
+    # the slowest criterion-7 query of the benchmark leaves a few thousand
+    # cache entries (192,508 under the windowed coset representatives)
+    w = "(bbA)^(-3/2)(Baa)^(-7/4)(bb)^(1/4)"
+    s = QSession(AB, max_level=8)
+    assert s.q_equal(f"({w})^(1/2)({w})^(1/2)", w)
+    assert sum(len(c) for c in s.tower._caches.values()) < 20_000
 
 
 class TestLocate:

@@ -2,6 +2,7 @@
 alternating syllable forms, coset representatives, cyclic reduction, root
 extraction, and conjugacy with certificates."""
 
+import math
 import os
 import random
 import subprocess
@@ -44,6 +45,113 @@ def tower_chain(alphabet):
     t2 = t1.extend_centralizer(t1.root(1), 3, name="u")
     t3 = t2.extend_centralizer(tw.from_word(t2, (1, -2)), 2, name="x")
     return [t0, t1, t2, t3]
+
+
+def oracle_towers():
+    """Levels 0..3 of four towers, each over its own caches: chain roots
+    (every step after the first adjoins a root of the previous root), v with
+    a zero exponent vector (abAB, then a commutator with a syllable), v with
+    syllables at its own level (levels 1 and 2), and a mixed chain."""
+
+    def word(text):
+        return lambda t: tw.from_word(t, AB.parse(text))
+
+    def root(lvl, sign=1):
+        return lambda t: t.root(lvl) if sign > 0 else tw.inv(t, t.root(lvl))
+
+    def core(*parts):
+        return lambda t: tw.cyclic_decompose(t, tw.mul(t, *(p(t) for p in parts)))[1]
+
+    specs = [
+        [(word("ab"), 2), (root(1), 3), (root(2, -1), 2)],
+        [(word("abAB"), 2), (core(root(1), word("a"), root(1, -1), word("A")), 2), (word("aabAB"), 2)],
+        [(word("ab"), 2), (core(word("a"), root(1)), 2), (core(word("b"), root(2)), 3)],
+        [(word("ab"), 2), (root(1), 3), (word("aB"), 2)],
+    ]
+    out = []
+    for spec in specs:
+        towers = [Tower(AB)]
+        for make, m in spec:
+            towers.append(towers[-1].extend_centralizer(make(towers[-1]), m))
+        out.append(towers)
+    return out
+
+
+def coset_cases(towers):
+    """(tower, vs) for each level 1..3, with vs the level's adjoined root,
+    its inverse and, below the top, the next step's element."""
+    top = towers[-1]
+    for lvl in range(1, 4):
+        t = towers[lvl]
+        vs = [t.root(lvl), tw.inv(t, t.root(lvl))]
+        if lvl < 3:
+            vs.append(tw.lift(top, top.step_at(lvl + 1).v, lvl))
+        yield t, vs
+
+
+def window_coset_rep(t, h, v):
+    """coset_rep as a bounded search over a window of v-powers, as it ran
+    before the exact recursion: the oracle for it."""
+    window = 2 * tw.elem_len(t, h) + 2
+    exponents = set(range(-window, window + 1))
+    vvec = tw.exponent_vector(t, v)
+    if any(vvec):
+        hvec = tw.exponent_vector(t, h)
+        for i, c in enumerate(vvec):
+            if c:
+                center = round(hvec[i] / c)
+                exponents.update(range(center - window, center + window + 1))
+    best = None
+    for j in sorted(exponents):
+        cand = tw.mul(t, h, tw.pow_elem(t, v, -j))
+        key = (tw.elem_len(t, cand), tw.sort_key(t, cand))
+        if best is None or key < best[0]:
+            best = (key, cand, j)
+    return best[1], best[2]
+
+
+def restart_normalize(t, lvl, hs, ss):
+    """_normalize that restarts its scan after every exponent fix and every
+    pinch, as it ran before the one-pass stack: the oracle for it."""
+    step = t.step_at(lvl)
+    v = step.v
+    while True:
+        changed = False
+        for i, s in enumerate(ss):
+            if s.denominator == 1 or not (0 < s < 1):
+                k = math.floor(s)
+                if s == k:
+                    hs[i] = tw.mul(t, hs[i], tw._vpow(t, lvl, k), hs[i + 1])
+                    del ss[i]
+                    del hs[i + 1]
+                else:
+                    ss[i] = s - k
+                    hs[i + 1] = tw.mul(t, tw._vpow(t, lvl, k), hs[i + 1])
+                changed = True
+                break
+        if changed:
+            continue
+        for i in range(1, len(hs) - 1):
+            k = tw.is_in_cyclic(t, hs[i], v)
+            if k is not None:
+                ss[i - 1] = ss[i - 1] + k + ss[i]
+                del ss[i]
+                del hs[i]
+                changed = True
+                break
+        if not changed:
+            break
+    for s in ss:
+        if step.m % s.denominator:
+            raise ValueError(f"exponent {s} incompatible with root index {step.m}")
+    carry = 0
+    for i in range(len(hs)):
+        h = tw.mul(t, tw._vpow(t, lvl, carry), hs[i]) if carry else hs[i]
+        if i < len(hs) - 1:
+            hs[i], carry = tw.coset_rep(t, h, v)
+        else:
+            hs[i] = h
+    return tw.Form(lvl, tuple(hs), tuple(ss))
 
 
 def char_key(c):
@@ -155,20 +263,78 @@ class TestCosetRep:
         assert tw.is_in_cyclic(t0, words.inverse(AB.parse("ababab")), AB.parse("ab")) == -3
 
     def test_rep_deterministic(self):
+        # every member h v^j of a coset, |j| <= 50, picks the same rep
         rng = random.Random(42)
         t0 = base_tower()
-        v = AB.parse("ab")
-        for _ in range(100):
-            h = tuple(
-                x
-                for x in [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 6))]
-            )
-            h = words.free_reduce(h)
-            rep, k = tw.coset_rep(t0, h, v)
-            assert words.mul(rep, words.power(v, k)) == h
-            for j in (-2, -1, 1, 2):
-                rep2, k2 = tw.coset_rep(t0, words.mul(h, words.power(v, j)), v)
-                assert rep2 == rep and k2 == k + j
+        for v in (AB.parse("ab"), AB.parse("a"), AB.parse("abAB")):
+            for _ in range(60):
+                h = words.free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 6)))
+                rep, k = tw.coset_rep(t0, h, v)
+                assert words.mul(rep, words.power(v, k)) == h
+                for j in rng.sample(range(-50, 51), 6) + [-50, 50]:
+                    rep2, k2 = tw.coset_rep(t0, words.mul(h, words.power(v, j)), v)
+                    assert rep2 == rep and k2 == k + j
+        for towers in oracle_towers():
+            top = towers[-1]
+            for t, vs in coset_cases(towers):
+                for _ in range(4):
+                    h = random_elem(rng, t)
+                    for v in vs:
+                        rep, k = tw.coset_rep(top, h, v)
+                        assert tw.mul(top, rep, tw.pow_elem(top, v, k)) == h
+                        for j in rng.sample(range(-50, 51), 2) + [rng.choice((-50, 50))]:
+                            hj = tw.mul(top, h, tw.pow_elem(top, v, j))
+                            assert tw.coset_rep(top, hj, v) == (rep, k + j)
+
+    def test_matches_window_oracle(self):
+        # seeded h and h v^j over four towers, levels 1-3, v the next step's
+        # element or the level's root (either sign)
+        rng = random.Random(61)
+        count = 0
+        for towers in oracle_towers():
+            top = towers[-1]
+            for t, vs in coset_cases(towers):
+                for _ in range(20):
+                    h = random_elem(rng, t)
+                    for v in vs:
+                        for g in (h, tw.mul(top, h, tw.pow_elem(top, v, rng.randint(-6, 6)))):
+                            assert tw.coset_rep(top, g, v) == window_coset_rep(top, g, v)
+                            count += 1
+        assert count == 1280
+
+    def test_window_missed_least_rep(self):
+        # chain tower, x^2 = u^-1, u^3 = w, w^2 = ab: bb x^12 = bb (ab)^-1 = bA
+        # is the least element of bb<x>, but j = -12 lay outside the old
+        # window (|j| <= 6, and 6 around the vector centre -24), which picked
+        # bb for bb and bA for bA: two reps for one coset
+        t = oracle_towers()[0][3]
+        x = t.root(3)
+        bb, ba = (tw.from_word(t, AB.parse(w)) for w in ("bb", "bA"))
+        assert tw.coset_rep(t, bb, x) == (ba, -12)
+        assert tw.coset_rep(t, ba, x) == (ba, 0)
+        assert window_coset_rep(t, bb, x) == (bb, 0)
+        assert window_coset_rep(t, ba, x) == (ba, 0)
+
+    def test_normalize_matches_restart_oracle(self):
+        # seeded factor lists with integer, negative and >1 exponents and
+        # planted pinches (interior v^k factors), over four towers, levels 1-3
+        rng = random.Random(62)
+        for towers in oracle_towers():
+            top = towers[-1]
+            for lvl in range(1, 4):
+                m = top.step_at(lvl).m
+                v = top.step_at(lvl).v
+                for _ in range(100):
+                    n = rng.randint(1, 4)
+                    hs = [
+                        tw.pow_elem(top, v, rng.randint(-2, 2)) if rng.random() < 0.3
+                        else random_elem(rng, towers[lvl - 1], n_factors=2)
+                        for _ in range(n + 1)
+                    ]
+                    ss = [Fraction(rng.randint(-2 * m, 2 * m), m) for _ in range(n)]
+                    assert tw._normalize(top, lvl, list(hs), list(ss)) == restart_normalize(
+                        top, lvl, list(hs), list(ss)
+                    )
 
 
 class TestCanonical:
