@@ -2,7 +2,8 @@
 
 Exit codes: 0 = decided/computed, 1 = negative decision, 2 = absent within
 the search bound, 3 = input error or resource cap, 4 = internal error (a
-certificate failed its check, so no answer is printed).  With --json every
+certificate failed its check, so no answer is printed); only `word area` and
+an inconclusive check-hnn/check-amalgam verdict exit 2.  With --json every
 result is a single JSON document (sorted keys, so byte-identical across
 runs); rationals are always printed as exact "p/q" strings.
 """
@@ -344,7 +345,9 @@ def _cmd_tower_show(args, out: _Output) -> int:
 
 def _cmd_vn_list(args, out: _Output) -> int:
     a = _alphabet(args.base)
-    ti = qcompletion.tower_level(a, args.n, max_level=max(args.max_level, args.n))
+    if args.n < 1:
+        raise InputError("invalid-input", "--n must be at least 1")
+    ti = qcompletion.tower_level(a, args.n, max_level=args.max_level)
     table = ti.tables[args.n - 1]
     out.put("n", args.n)
     out.put("elements", list(table.texts))
@@ -357,7 +360,7 @@ def _cmd_vn_list(args, out: _Output) -> int:
 
 
 def _qsession(args) -> QSession:
-    return QSession(_alphabet(args.base), max_level=args.max_level, k_bound=args.k_bound)
+    return QSession(_alphabet(args.base), max_level=args.max_level)
 
 
 def _parse_q(session: QSession, text: str):
@@ -396,7 +399,7 @@ def _cmd_qword_conj(args, out: _Output) -> int:
     if status == tower.CONJUGATE:
         out.put("conjugator", tower.serialize(session.tower, session.top(c)))
         return EXIT_OK
-    return EXIT_NEGATIVE if status == tower.DISTINCT else EXIT_ABSENT
+    return EXIT_NEGATIVE
 
 
 # -- parser ------------------------------------------------------------------
@@ -483,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def q_flags(p):
         base_flag(p)
         p.add_argument("--max-level", type=int, default=3, help="root-index cap (default: 3)")
-        p.add_argument("--k-bound", type=int, default=None, help="conjugacy twist search bound")
 
     p = qsub.add_parser("normalize", help="canonical form of a Q-word")
     q_flags(p)

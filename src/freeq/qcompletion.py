@@ -220,11 +220,10 @@ class QSession:
     needs indices up to q); exceeding it raises ResourceCapError.
     """
 
-    def __init__(self, alphabet: Alphabet, max_level: int = 3, k_bound: Optional[int] = None):
+    def __init__(self, alphabet: Alphabet, max_level: int = 3):
         self.alphabet = alphabet
         self.tower = Tower(alphabet)
         self.max_level = max_level
-        self.k_bound = k_bound
         self.chains: List[_Chain] = []
 
     # -- element plumbing
@@ -282,13 +281,13 @@ class QSession:
                 candidates.append((self.top(self.tower.root(lvl)), Fraction(1, m_cum)))
             for cand, scale in candidates:
                 for sign, target in ((1, cand), (-1, tw.inv(self.tower, cand))):
-                    status, d = tw.conjugate_in_tower(self.tower, target, root, self.k_bound)
+                    status, d = tw.conjugate_in_tower(self.tower, target, root)
                     if status == tw.CONJUGATE:
                         # d^-1 rep^(sign*scale) d = root
                         val = self._class_power(chain, sign * scale * r)
                         d = self.top(d)
                         return tw.mul(self.tower, tw.inv(self.tower, d), self.top(val), d)
-        rep, c, sign = tw.class_rep(self.tower, root, self.k_bound)
+        rep, c, sign = tw.class_rep(self.tower, root)
         chain = _Chain(
             key=tw.serialize(self.tower, rep), rep=rep, levels=[], ms=[]
         )
@@ -335,10 +334,10 @@ class QSession:
         return self.top(e1) == self.top(e2)
 
     def q_conjugate(self, a, b) -> Tuple[str, Optional[Elem]]:
-        """Tri-state conjugacy with a certificate element on success."""
+        """Conjugacy decision with a certificate element on success."""
         e1 = self.normalize(a)
         e2 = self.normalize(b)
-        return tw.conjugate_in_tower(self.tower, self.top(e1), self.top(e2), self.k_bound)
+        return tw.conjugate_in_tower(self.tower, self.top(e1), self.top(e2))
 
     def locate(self, e: Elem) -> int:
         return locate(self.tower, self.top(e))

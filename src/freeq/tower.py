@@ -30,6 +30,11 @@ class ResourceCapError(RuntimeError):
 # raises ResourceCapError instead of multiplying without limit.
 MAX_POWER_LENGTH = 10**6
 
+# Most extension steps a tower holds (tower_level(ab, 3) has 92).  Forms nest
+# one Form per level and the recursive operations fail past about 240
+# levels, so extend_centralizer raises ResourceCapError beyond this cap.
+MAX_LEVEL = 160
+
 
 @dataclass(frozen=True, slots=True)
 class Form:
@@ -96,10 +101,6 @@ class Tower:
     def level(self) -> int:
         return len(self.steps)
 
-    @property
-    def max_m(self) -> int:
-        return max((s.m for s in self.steps), default=1)
-
     def step_at(self, lvl: int) -> Step:
         """The step that creates level lvl (1-based)."""
         return self.steps[lvl - 1]
@@ -117,25 +118,31 @@ class Tower:
         """
         if m < 1:
             raise ValueError("root exponent m must be >= 1")
+        if m > 1 and self.level >= MAX_LEVEL:
+            raise ResourceCapError(f"tower would exceed {MAX_LEVEL} levels")
         if level_of(v) != self.level:
             raise ValueError("v must be an element at the tower's top level")
         v = canonical_form(self, v)
         if is_trivial(v):
             raise ValueError("cannot extend the centralizer of the identity")
         if validate:
-            _check_extendable(self, v)
+            # a conjugate of a power r^k, k >= 2, of an adjoined root r has
+            # root r, so extract_root_elem reports it as a proper power
+            x, c = cyclic_decompose(self, v)
+            if not is_trivial(x):
+                raise ValueError("extension element must be cyclically minimal")
+            if extract_root_elem(self, c)[1] != 1:
+                raise ValueError("extension element is a proper power, not primitive")
         if name is None:
             name = f"w{len(self.steps) + len(self.aliases) + 1}"
         if m == 1:
             return Tower(self.base, self.steps, self.aliases + ((name, v),), self._caches)
-        step = Step(v=v, m=m, name=name)
-        return Tower(self.base, self.steps + (step,), self.aliases, self._caches)
+        return Tower(self.base, self.steps + (Step(v, m, name),), self.aliases, self._caches)
 
     def root(self, lvl: int) -> "Form":
         """The adjoined root of the step creating level lvl, as a level-lvl element."""
-        step = self.step_at(lvl)
         idv = identity(self, lvl - 1)
-        return Form(lvl, (idv, idv), (Fraction(1, step.m),))
+        return Form(lvl, (idv, idv), (Fraction(1, self.step_at(lvl).m),))
 
 
 # -- basic constructors ------------------------------------------------------
@@ -177,11 +184,8 @@ def elem_len(t: Tower, e: Elem) -> int:
     """Word length over the canonical generating set (base letters + roots)."""
     if not isinstance(e, Form):
         return len(e)
-    total = sum(elem_len(t, h) for h in e.hs)
-    for s in e.ss:
-        step = t.step_at(e.level)
-        total += abs(s.numerator * (step.m // s.denominator))
-    return total
+    m = t.step_at(e.level).m if e.ss else 1
+    return sum(elem_len(t, h) for h in e.hs) + sum(s.numerator * (m // s.denominator) for s in e.ss)
 
 
 def serialize(t: Tower, e: Elem) -> str:
@@ -281,8 +285,7 @@ def pow_elem(t: Tower, e: Elem, n: int) -> Elem:
         raise ResourceCapError(
             f"power {n} of a length-{elem_len(t, e)} element exceeds {MAX_POWER_LENGTH} letters"
         )
-    out = identity(t, level_of(e))
-    acc = e
+    out, acc = identity(t, level_of(e)), e
     while n:
         if n & 1:
             out = mul(t, out, acc)
@@ -463,45 +466,22 @@ def cyclic_decompose(t: Tower, e: Elem) -> Tuple[Elem, Elem]:
         cw = words.cyclic_reduce(e)
         return cw.conjugator, cw.core
     e = canonical_form(t, e)
-    x = identity(t, lvl)
-    step = t.step_at(lvl)
-    v = step.v
-    while True:
-        if not e.ss:
-            xl, cl = cyclic_decompose(t, e.hs[0])
-            return mul(t, x, wrap(xl)), wrap(cl)
-        h1 = e.hs[0]
-        if not is_trivial(h1):
-            x = mul(t, x, lift(t, h1, lvl))
-            hs = [identity(t, lvl - 1)] + list(e.hs[1:-1]) + [mul(t, e.hs[-1], h1)]
-            e = _normalize(t, lvl, hs, list(e.ss))
-            continue
-        hl = e.hs[-1]
-        k = is_in_cyclic(t, hl, v)
-        if k is None:
+    x, idv = identity(t, lvl), identity(t, lvl - 1)
+    while e.ss:
+        if not is_trivial(e.hs[0]):
+            y = lift(t, e.hs[0], lvl)
+        elif len(e.ss) == 1 or (k := is_in_cyclic(t, e.hs[-1], t.step_at(lvl).v)) is None:
+            # one syllable: a trailing v^k is exponent overflow, not a pinch
             return x, e
-        if k != 0:
-            if len(e.ss) == 1:
-                # pure fractional power of v; the trailing v^k is canonical
-                # exponent overflow, not a wrap pinch
-                return x, e
+        elif k:
             # trailing v^k is a wrap pinch: conjugate it into the first syllable
-            x = mul(t, x, lift(t, inv(t, hl), lvl))
-            idv = identity(t, lvl - 1)
-            hs = [idv] + list(e.hs[1:-1]) + [idv]
-            e = _normalize(t, lvl, hs, [e.ss[0] + k] + list(e.ss[1:]))
-            continue
-        if len(e.ss) >= 2:
-            # trailing pure syllable: rotate it to the front and merge exponents
-            s_last = e.ss[-1]
-            idv = identity(t, lvl - 1)
-            y = _normalize(t, lvl, [idv, idv], [-s_last])
-            x = mul(t, x, y)
-            hs = [idv] + list(e.hs[1:-1])
-            ss = [e.ss[-1] + e.ss[0]] + list(e.ss[1:-1])
-            e = _normalize(t, lvl, hs, ss)
-            continue
-        return x, e
+            y = lift(t, inv(t, e.hs[-1]), lvl)
+        else:
+            # trailing pure syllable: rotate it to the front
+            y = _normalize(t, lvl, [idv, idv], [-e.ss[-1]])
+        x, e = mul(t, x, y), conj(t, e, y)
+    xl, cl = cyclic_decompose(t, e.hs[0])
+    return mul(t, x, wrap(xl)), wrap(cl)
 
 
 def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
@@ -520,14 +500,12 @@ def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
         for target, r in ((step.v, t.root(lvl)), (inv(t, step.v), inv(t, t.root(lvl)))):
             status, d = conjugate_in_tower(t, target, root)
             if status == CONJUGATE:
-                rooted = conj(t, r, lift(t, d, lvl))
-                return rooted, k * step.m
+                return conj(t, r, lift(t, d, lvl)), k * step.m
         return wrap(root), k
     n = c.syllable_count
     step = t.step_at(lvl)
-    v = step.v
     if n == 1 and is_trivial(c.hs[0]):
-        k = is_in_cyclic(t, c.hs[1], v)
+        k = is_in_cyclic(t, c.hs[1], step.v)
         if k is not None:
             # pure power of the adjoined root: c = r^num
             s = c.ss[0]
@@ -537,94 +515,138 @@ def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
                 r, num = inv(t, r), -num
             return r, num
     for d in range(n, 1, -1):
-        if n % d:
+        # c = r^d, r of n/d syllables, exactly when c's syllables repeat with
+        # period n/d and c rotated by its first period P is v^k c v^-k: r = P v^k
+        if n % d or c.ss[n // d :] + c.ss[: n // d] != c.ss:
             continue
-        p = n // d
-        # a period slice can miss the true root by a v-power at the seam
-        # (canonical carries are fixed left to right), so search the shift
-        window = t.max_m * (elem_len(t, c) + 2)
-        for j in sorted(range(-window, window + 1), key=abs):
-            hs = list(c.hs[:p]) + [mul(t, c.hs[p], pow_elem(t, v, j))]
-            cand = _normalize(t, lvl, hs, list(c.ss[:p]))
-            if cand.syllable_count != p:
-                continue
-            if pow_elem(t, cand, d) == c:
-                root, k = extract_root_elem(t, cand)
-                return root, k * d
+        p = _prefixes(t, c)[2 * (n // d)]
+        (tc, jc), (tr, jr) = _twist(t, c), _twist(t, conj(t, c, p))
+        cand = mul(t, p, wrap(_vpow(t, lvl, jr - jc)))
+        if tr == tc and pow_elem(t, cand, d) == c:
+            root, k = extract_root_elem(t, cand)
+            return root, k * d
     return c, 1
-
-
-def _check_extendable(t: Tower, v: Elem) -> None:
-    """v must be cyclically minimal, primitive, with <v> maximal cyclic."""
-    x, c = cyclic_decompose(t, v)
-    if not is_trivial(x):
-        raise ValueError("extension element must be cyclically minimal")
-    _, k = extract_root_elem(t, c)
-    if k != 1:
-        raise ValueError("extension element is a proper power, not primitive")
-    # v must not be a proper power of a previously adjoined root (extending
-    # by the root itself, exponent +-1, is the legal chain pattern)
-    target = elem_len(t, v)
-    for i in range(t.level, 0, -1):
-        r = lift(t, t.root(i), t.level)
-        cap = t.step_at(i).m * (target + 2)
-        for kk in range(2, cap + 1):
-            pos = pow_elem(t, r, kk)
-            if elem_len(t, pos) > target + 2:
-                break
-            for cand in (pos, inv(t, pos)):
-                status, _ = conjugate_in_tower(t, v, cand, k_bound=4)
-                if status == CONJUGATE:
-                    raise ValueError(
-                        "centralizer of v is not maximal cyclic: v is conjugate "
-                        f"to a proper power of root {t.step_at(i).name}"
-                    )
 
 
 CONJUGATE = "conjugate"
 DISTINCT = "distinct"
-UNKNOWN = "absent-within-bound"
 
 
-def _units(t: Tower, e: Form) -> List[Elem]:
-    """The alternating factors of a form, lifted to the form's level."""
+def _prefixes(t: Tower, e: Form) -> List[Elem]:
+    """Products of the first i alternating factors of a form, i from 0 (the
+    identity) to one short of all: the conjugators of its cyclic rotations."""
     lvl = e.level
-    out: List[Elem] = []
+    out = [identity(t, lvl)]
+    idv = identity(t, lvl - 1)
     for i, h in enumerate(e.hs):
         if not is_trivial(h):
-            out.append(lift(t, h, lvl))
+            out.append(mul(t, out[-1], lift(t, h, lvl)))
         if i < len(e.ss):
-            out.append(
-                Form(lvl, (identity(t, lvl - 1), identity(t, lvl - 1)), (e.ss[i],))
-            )
+            out.append(mul(t, out[-1], Form(lvl, (idv, idv), (e.ss[i],))))
+    return out[:-1]
+
+
+def _bare(e: Elem) -> Elem:
+    """e without the syllable-free levels it is lifted through."""
+    while isinstance(e, Form) and not e.ss:
+        e = e.hs[0]
+    return e
+
+
+def _shape(e: Elem, lam: int, out: list) -> list:
+    """Append e's factors below level lam to out, None for each syllable run."""
+    if level_of(e) < lam:
+        if not is_trivial(e):
+            out.append(e)
+        return out
+    for i, h in enumerate(e.hs):
+        _shape(h, lam, out)
+        if i < len(e.ss) and out and out[-1] is not None:
+            out.append(None)
     return out
 
 
-def _twists(t: Tower, g: Form, k_bound: int):
-    """Conjugators p * v^j of the cyclic rotations of g, twisted by powers of
-    the step element v: for each prefix p of g's alternating factors
-    (identity first), |j| <= k_bound by increasing |j|, -j before +j."""
+def _twist(t: Tower, g: Form) -> Tuple[Form, int]:
+    """The sort_key-least twist v^-j g v^j over all j in Z, with its j, for g
+    canonical at level l with syllables and v the step element of level l.
+
+    If g commutes with v (a pure root power) every twist is g: (g, 0).
+    Otherwise distinct j give distinct twists (<v> is malnormal), and:
+    - Digits.  Down v's chain of roots, v = r_1^+-1, r_d^m_d = r_(d+1)^+-1,
+      ..., r_D^m_D = u^+-1, u not a root.  With P_d = m_1 ... m_d, the twists
+      with j = j0 mod P_d are those of v^-j0 g v^j0 by z = v^P_d; their least
+      is the least over r < m_(d+1) of those with j0 + P_d r.
+    - Kept syllables.  A twist keeps g's level-l syllables.  A twist by
+      z = r_(d+1)^+-1 keeps those at levels >= L_d (r_d's level) too while
+      each level passed between holds a chain root or a step element from
+      below L_d: coset_rep's root case makes every carry a power of z, which
+      passes them as a whole-number shift, and other carries stay below L_d.
+      lam_d is the lowest level so kept (l if none).
+    - Shapes.  Normalizing never reads a kept exponent, so residues whose
+      twists share a _shape at lam_d share it under every z^q, lengths a
+      constant apart, texts differing in kept syllables only, which at a
+      first difference meet only syllables of their level (lower roots print
+      fewer parentheses): keys order the q alike, one least gives the other.
+      Memoised by shape, a depth holds one residue per carry pattern.
+    - Base.  At depth D, u^q passes root syllables as whole-number shifts and
+      has n |q| syllables at u's level (n = u's syllable count, |u| for a
+      word), each a letter or more; each end loses at most |g'| + n to a
+      twist g' (elem_len |g'|), so the least is within P_D (3|g'| // (2n) + 3)
+      of g' = v^-i g v^i, i from a walk by P_D while the key falls.
+    """
+    key = ("twist", t._pid[g.level], g)
+    cache = t._cache("ops")
+    if key in cache:
+        return cache[key]
     lvl = g.level
-    prefixes = [identity(t, lvl)]
-    for u in _units(t, g):
-        prefixes.append(mul(t, prefixes[-1], u))
-    v = t.step_at(lvl).v
-    for p in prefixes:
-        for j in sorted(range(-k_bound, k_bound + 1), key=abs):
-            yield mul(t, p, lift(t, pow_elem(t, v, j), lvl))
+
+    def twisted(j: int) -> Form:
+        return mul(t, wrap(_vpow(t, lvl, -j)), g, wrap(_vpow(t, lvl, j)))
+
+    def rank(j: int):
+        return sort_key(t, twisted(j))
+
+    def least(j0: int, d: int, period: int) -> int:  # j = j0 mod period = P_d
+        shape = (d, tuple(_shape(twisted(j0), lams[d], [])))
+        if shape not in memo:
+            if d < len(radices):
+                js = range(j0, j0 + period * radices[d], period)
+                j = min((least(s, d + 1, period * radices[d]) for s in js), key=rank)
+            else:
+                j = j0
+                for s in (period, -period):
+                    while rank(j + s) < rank(j):
+                        j += s
+                bound = period * (3 * elem_len(t, twisted(j)) // (2 * n) + 3)
+                j = min(range(j - bound, j + bound + 1, period), key=rank)
+            memo[shape] = j - j0
+        return j0 + memo[shape]
+
+    if twisted(1) == g:
+        out = g, 0
+    else:
+        radices, lams, passed, u, memo = [], [lvl], [], t.step_at(lvl).v, {}
+        while isinstance(b := _bare(u), Form) and b in (w := t.root(b.level), inv(t, w)):
+            passed += range(b.level + 1, level_of(u) + 1)
+            low = all(level_of(_bare(t.step_at(k).v)) < b.level for k in passed)
+            radices.append(t.step_at(b.level).m)
+            lams.append(b.level if low else lams[-1])
+            u = t.step_at(b.level).v
+        n = len(b.ss) if isinstance(b, Form) else len(b)
+        j = least(0, 0, 1)
+        out = twisted(j), j
+    cache[key] = out
+    return out
 
 
-def conjugate_in_tower(
-    t: Tower, f1: Elem, f2: Elem, k_bound: Optional[int] = None
-) -> Tuple[str, Optional[Elem]]:
-    """Tri-state conjugacy: (status, conjugator d with d^-1 f1 d = f2).
+def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem]]:
+    """Conjugacy decision: (status, conjugator d with d^-1 f1 d = f2).
 
-    Different exponent vectors mean distinct: the vector is a conjugation
-    invariant, so the comparison is the certificate.  Syllable-free forms
-    recurse to the level below (free conjugacy at the base).  Forms with
-    syllables are searched over cyclic rotations twisted by v^j,
-    |j| <= k_bound; exhausting the bound yields "absent-within-bound"
-    rather than a proof of non-conjugacy.
+    Different exponent vectors (a conjugation invariant) mean distinct, and
+    syllable-free forms recurse down.  Forms with syllables follow Collins'
+    lemma (Lyndon-Schupp IV.2.8): each rotation p^-1 c1 p, in prefix order,
+    is compared with c2 through their least twists (`_twist`); equal ones
+    give d = p v^(jp - j2), and no match proves the pair distinct.
     """
     lvl = level_of(f1)
     if level_of(f2) != lvl:
@@ -633,8 +655,6 @@ def conjugate_in_tower(
         return DISTINCT, None
     x1, c1 = cyclic_decompose(t, f1)
     x2, c2 = cyclic_decompose(t, f2)
-    if k_bound is None:
-        k_bound = elem_len(t, c1) + elem_len(t, c2) + 4
 
     def finish(d: Elem) -> Tuple[str, Elem]:
         total = mul(t, x1, d, inv(t, x2))
@@ -645,20 +665,19 @@ def conjugate_in_tower(
     if lvl == 0:
         d = words.conjugacy_witness(c1, c2)
         return finish(d) if d is not None else (DISTINCT, None)
-    n1 = c1.syllable_count if isinstance(c1, Form) else 0
-    n2 = c2.syllable_count if isinstance(c2, Form) else 0
-    if n1 == 0 and n2 == 0:
-        status, d = conjugate_in_tower(t, c1.hs[0], c2.hs[0], k_bound)
+    if not c1.ss and not c2.ss:
+        status, d = conjugate_in_tower(t, c1.hs[0], c2.hs[0])
         return finish(wrap(d)) if status == CONJUGATE else (status, None)
-    if n1 != n2:
+    if c1.ss not in [c2.ss[i:] + c2.ss[:i] for i in range(len(c2.ss))]:
         return DISTINCT, None
-    rots = [tuple(c2.ss[i:] + c2.ss[:i]) for i in range(n2)]
-    if tuple(c1.ss) not in rots:
-        return DISTINCT, None
-    for d in _twists(t, c1, k_bound):
-        if equal(t, conj(t, c1, d), c2):
-            return finish(d)
-    return UNKNOWN, None
+    for p in _prefixes(t, c1):
+        rot = conj(t, c1, p)
+        if rot == c2:  # jp = j2: the twists need not be computed
+            return finish(p)
+        (tp, jp), (t2, j2) = _twist(t, rot), _twist(t, c2)
+        if tp == t2:
+            return finish(mul(t, p, wrap(_vpow(t, lvl, jp - j2))))
+    return DISTINCT, None
 
 
 # -- name resolution for raw symbol sequences --------------------------------
@@ -686,57 +705,36 @@ def reduce_to_semicanonical(t: Tower, raw) -> Elem:
     return canonical_form(t, out)
 
 
-def class_rep(
-    t: Tower, core: Elem, k_bound: Optional[int] = None
-) -> Tuple[Elem, Elem, int]:
+def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
     """Deterministic representative of the conjugacy class of a cyclically
     reduced element, identifying inverse classes.
 
-    Returns (rep, c, sign) with core = c * rep^sign * c^-1; rep is the
-    sort_key-least candidate over cyclic rotations of core and of its
-    inverse (twisted by bounded v-powers at syllable levels), so conjugate
-    cores map to the same rep.
+    Returns (rep, c, sign) with core = c * rep^sign * c^-1: the sort_key-least
+    rotation of core or its inverse (sign 1 first, a tie to the first), where
+    for a form with syllables each rotation p^-1 g p, in prefix order, stands
+    for its least twist (`_twist`, Collins' lemma) and c = p v^j.
     """
     lvl = level_of(core)
-    ckey = ("crep", t._pid[lvl], core, k_bound)
+    ckey = ("crep", t._pid[lvl], core)
     cache = t._cache("ops")
     if ckey in cache:
         return cache[ckey]
-    if lvl == 0:
-        best = None
-        for sign, g in ((1, core), (-1, words.inverse(core))):
-            for i in range(max(1, len(g))):
-                rot = g[i:] + g[:i]
-                key = (sort_key(t, rot), sign)
-                if best is None or key < best[0]:
-                    best = (key, rot, g[:i], sign)
-        _, rep, c, sign = best
-        check = words.mul(c, rep if sign > 0 else words.inverse(rep), words.inverse(c))
-        if check != core:
-            raise CertificateError("class representative does not rebuild the core")
-        cache[ckey] = (rep, c, sign)
-        return rep, c, sign
     core = canonical_form(t, core)
-    if not core.ss:
-        rep, c, sign = class_rep(t, core.hs[0], k_bound)
+    if lvl and not core.ss:
+        rep, c, sign = class_rep(t, core.hs[0])
         out = (lift(t, rep, lvl), lift(t, c, lvl), sign)
-        cache[ckey] = out
-        return out
-    if k_bound is None:
-        k_bound = elem_len(t, core) + 4
-    best = None
-    for sign, g in ((1, core), (-1, inv(t, core))):
-        g = canonical_form(t, g)
-        for d in _twists(t, g, k_bound):
-            cand = conj(t, g, d)
-            key = (sort_key(t, cand), sign)
-            if best is None or key < best[0]:
-                best = (key, cand, d, sign)
-    _, rep, d, sign = best
-    # cand = d^-1 g d with g = core^sign, hence core = (d rep d^-1)^sign
-    c = d
-    check = mul(t, c, rep if sign > 0 else inv(t, rep), inv(t, c))
-    if not equal(t, check, core):
-        raise CertificateError("class representative does not rebuild the core")
-    cache[ckey] = (rep, c, sign)
-    return rep, c, sign
+    else:
+        cands = []
+        for sign, g in ((1, core), (-1, canonical_form(t, inv(t, core)))):
+            if lvl == 0:
+                cands += [(g[i:] + g[:i], g[:i], sign) for i in range(max(1, len(g)))]
+                continue
+            for p in _prefixes(t, g):
+                rep, j = _twist(t, conj(t, g, p))
+                cands.append((rep, mul(t, p, wrap(_vpow(t, lvl, j))), sign))
+        out = rep, c, sign = min(cands, key=lambda cand: (sort_key(t, cand[0]), cand[2]))
+        # rep = c^-1 g c with g = core^sign, hence core = (c rep c^-1)^sign
+        if not equal(t, mul(t, c, pow_elem(t, rep, sign), inv(t, c)), core):
+            raise CertificateError("class representative does not rebuild the core")
+    cache[ckey] = out
+    return out

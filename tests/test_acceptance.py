@@ -304,7 +304,7 @@ def test_criterion_8_conjugacy_certificates():
     t = t_base.extend_centralizer(tw.from_word(t_base, (1, 2)), 2, name="w")
     w = t.root(1)
     status, _ = tw.conjugate_in_tower(t, w, tw.inv(t, w))
-    ok &= status != tw.CONJUGATE
+    ok &= status == tw.DISTINCT
 
     report("criterion-8 conjugacy-certificates", ok, time.perf_counter() - t0, 120.0)
 

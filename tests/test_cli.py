@@ -240,6 +240,19 @@ class TestVn:
         assert doc["elements"] == ["a", "b", "ab", "aB"]
         assert doc["generator_count"] == 6
 
+    def test_max_level_caps_n(self, capsys):
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "vn", "list", "--n", "4")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert doc["error"] == {"code": "resource-cap", "message": "tower level 4 exceeds max_level 3"}
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one(self, capsys, n):
+        code, doc = run_json(capsys, "vn", "list", "--n", n)
+        assert code == 3
+        assert doc["error"] == {"code": "invalid-input", "message": "--n must be at least 1"}
+
 
 class TestQword:
     def test_normalize(self, capsys):
@@ -267,6 +280,60 @@ class TestQword:
         code, doc = run_json(capsys, "qword", "conj", "(ab)^(1/2)b", "(ab)^(1/2)a")
         assert code == 1
         assert doc == {"status": "distinct"}
+
+    def test_conj_distinct_without_bound(self, capsys):
+        # aaB and aBa are conjugate in F only by <aaB>a, which holds no power
+        # of ab: no twisted rotation matches, so distinct, never absent
+        code, doc = run_json(capsys, "qword", "conj", "(ab)^(1/2)aaB", "(ab)^(1/2)aBa")
+        assert code == 1
+        assert doc == {"status": "distinct"}
+
+    def test_normalize_agrees_across_sessions(self, capsys):
+        # equal elements normalized in separate sessions print one canonical
+        # text: the second conjugates the first's core by b^(11/6)
+        first = "(b^(-7/4)aaaaa)^(1/2)"
+        second = "(b)^(11/6)((b)^(-11/6)(b)^(-7/4)aaaaa(b)^(11/6))^(1/2)(b)^(-11/6)"
+        texts = []
+        for expr in (first, second):
+            code, doc = run_json(capsys, "qword", "normalize", expr, "--max-level", "4")
+            assert code == 0
+            texts.append(doc["canonical"])
+        assert texts[0] == texts[1] == "AAAAA(aaaaa(((b)^(1/2))^(1/3))^(1/2)((b)^(1/2))^(1/3)BB)^(1/2)aaaaa"
+        code, doc = run_json(capsys, "qword", "equal", first, second, "--max-level", "4")
+        assert code == 0 and doc["equal"] is True
+
+    def test_level_cap(self, capsys):
+        # a prime denominator needs a chain of root indices 2, 3, ..., 251
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "qword", "normalize", "(ab)^(1/251)", "--max-level", "100000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert doc["error"] == {"code": "resource-cap", "message": f"tower would exceed {tower.MAX_LEVEL} levels"}
+
+    @pytest.mark.parametrize(
+        "expr, canonical",
+        [
+            # the core sits at the level of the index-8 root of ab, where v is
+            # the index-7 root: its chain of roots has index product 5,040
+            (
+                "((ab)^(1/16)a)^(1/2)",
+                "A(a(((((ab)^(1/2))^(1/3))^(1/4))^(1/5))^(1/2)((((ab)^(1/2))^(1/3))^(1/4))"
+                "^(2/5)(((ab)^(1/2))^(1/3))^(1/4))^(1/2)a",
+            ),
+            # index product 720; the least twist lies at j = 102
+            (
+                "((ab)^(1/7)a)^(1/2)",
+                "A(a((((((ab)^(1/2))^(1/3))^(1/4))^(1/5))^(1/6))^(6/7)((((ab)^(1/2))^(1/3))"
+                "^(1/4))^(2/5)(((ab)^(1/2))^(1/3))^(3/4))^(1/2)a",
+            ),
+        ],
+    )
+    def test_deep_chain_twist(self, capsys, expr, canonical):
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "qword", "normalize", expr, "--max-level", "8")
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 0
+        assert doc["canonical"] == canonical
 
     def test_resource_cap(self, capsys):
         code, doc = run_json(capsys, "qword", "normalize", "a^(1/5)", "--max-level", "2")

@@ -2,6 +2,7 @@
 alternating syllable forms, coset representatives, cyclic reduction, root
 extraction, and conjugacy with certificates."""
 
+import functools
 import math
 import os
 import random
@@ -10,9 +11,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from freeq import tower as tw
 from freeq import words
+from freeq.qcompletion import QSession
 from freeq.tower import ResourceCapError, Tower
 from freeq.words import Alphabet
 
@@ -152,6 +155,102 @@ def restart_normalize(t, lvl, hs, ss):
         else:
             hs[i] = h
     return tw.Form(lvl, tuple(hs), tuple(ss))
+
+
+def window_twists(t, g, k_bound):
+    """Conjugators p * v^j of the rotations of g for each prefix p of its
+    alternating factors (identity first, g last), |j| <= k_bound by
+    increasing |j|, -j before +j: the twist window the exact twist replaced."""
+    lvl = g.level
+    v = t.step_at(lvl).v
+    for p in tw._prefixes(t, g) + [g]:
+        for j in sorted(range(-k_bound, k_bound + 1), key=abs):
+            yield tw.mul(t, p, tw.lift(t, tw.pow_elem(t, v, j), lvl))
+
+
+def window_class_rep(t, core, k_bound=None):
+    """class_rep as a search over the twist window, as it ran before the
+    exact twist: the oracle for it (cores with syllables only)."""
+    core = tw.canonical_form(t, core)
+    k_bound = tw.elem_len(t, core) + 4 if k_bound is None else k_bound
+    best = None
+    for sign, g in ((1, core), (-1, tw.canonical_form(t, tw.inv(t, core)))):
+        for d in window_twists(t, g, k_bound):
+            cand = tw.conj(t, g, d)
+            key = (tw.sort_key(t, cand), sign)
+            if best is None or key < best[0]:
+                best = (key, cand, d, sign)
+    return best[1], best[2], best[3]
+
+
+def window_conjugate(t, f1, f2, k_bound=None):
+    """conjugate_in_tower with the twist-window search, as it ran before the
+    exact twist: the oracle for it.  Exhausting the window answers
+    absent-within-bound."""
+    lvl = tw.level_of(f1)
+    if tw.exponent_vector(t, f1) != tw.exponent_vector(t, f2):
+        return tw.DISTINCT, None
+    x1, c1 = tw.cyclic_decompose(t, f1)
+    x2, c2 = tw.cyclic_decompose(t, f2)
+    if k_bound is None:
+        k_bound = tw.elem_len(t, c1) + tw.elem_len(t, c2) + 4
+
+    def finish(d):
+        return tw.CONJUGATE, tw.mul(t, x1, d, tw.inv(t, x2))
+
+    if lvl == 0:
+        d = words.conjugacy_witness(c1, c2)
+        return finish(d) if d is not None else (tw.DISTINCT, None)
+    n1 = c1.syllable_count if isinstance(c1, tw.Form) else 0
+    n2 = c2.syllable_count if isinstance(c2, tw.Form) else 0
+    if n1 == 0 and n2 == 0:
+        status, d = window_conjugate(t, c1.hs[0], c2.hs[0], k_bound)
+        return finish(tw.wrap(d)) if status == tw.CONJUGATE else (status, None)
+    if n1 != n2:
+        return tw.DISTINCT, None
+    if tuple(c1.ss) not in [tuple(c2.ss[i:] + c2.ss[:i]) for i in range(n2)]:
+        return tw.DISTINCT, None
+    for d in window_twists(t, c1, k_bound):
+        if tw.equal(t, tw.conj(t, c1, d), c2):
+            return finish(d)
+    return "absent-within-bound", None
+
+
+def window_extract_root(t, c):
+    """extract_root_elem's seam search for forms with syllables, as it ran
+    before the exact twist: a period slice shifted by v^j, |j| within a
+    window, whose d-th power is c."""
+    lvl = c.level
+    n = c.syllable_count
+    v = t.step_at(lvl).v
+    window = max(s.m for s in t.steps) * (tw.elem_len(t, c) + 2)
+    for d in range(n, 1, -1):
+        if n % d:
+            continue
+        p = n // d
+        for j in sorted(range(-window, window + 1), key=abs):
+            hs = list(c.hs[:p]) + [tw.mul(t, c.hs[p], tw.pow_elem(t, v, j))]
+            cand = tw._normalize(t, lvl, hs, list(c.ss[:p]))
+            if cand.syllable_count == p and tw.pow_elem(t, cand, d) == c:
+                return cand, d
+    return c, 1
+
+
+def conjugate_to_root_power(t, v):
+    """The root-power loop _check_extendable ran before extract_root_elem was
+    exact: is v conjugate to r^k or r^-k, k >= 2, for an adjoined root r
+    (powers up to length |v| + 2, twist window 4)?"""
+    target = tw.elem_len(t, v)
+    for i in range(t.level, 0, -1):
+        r = tw.lift(t, t.root(i), t.level)
+        for kk in range(2, t.step_at(i).m * (target + 2) + 1):
+            pos = tw.pow_elem(t, r, kk)
+            if tw.elem_len(t, pos) > target + 2:
+                break
+            for cand in (pos, tw.inv(t, pos)):
+                if window_conjugate(t, v, cand, 4)[0] == tw.CONJUGATE:
+                    return True
+    return False
 
 
 def char_key(c):
@@ -458,7 +557,7 @@ class TestConjugacy:
         t = e2_tower()
         w = t.root(1)
         status, _ = tw.conjugate_in_tower(t, w, tw.inv(t, w))
-        assert status != tw.CONJUGATE
+        assert status == tw.DISTINCT
 
     def test_random_certificates(self):
         rng = random.Random(50)
@@ -470,6 +569,223 @@ class TestConjugacy:
             status, c = tw.conjugate_in_tower(t, other, g)
             assert status == tw.CONJUGATE
             assert tw.equal(t, tw.mul(t, tw.inv(t, c), other, c), g)
+
+
+@functools.cache
+def property_towers():
+    """Levels 0-5 of two towers, built once: a chain of roots of b (each step
+    a root of the previous root), and a mixed tower (v = abAB with a zero
+    exponent vector, a root of ab, the inverse of that root, a word, then a
+    root of the word)."""
+
+    def word(text):
+        return lambda t: tw.from_word(t, AB.parse(text))
+
+    def root(lvl, sign=1):
+        return lambda t: t.root(lvl) if sign > 0 else tw.inv(t, t.root(lvl))
+
+    specs = [
+        [(word("b"), 2), (root(1), 3), (root(2), 2), (root(3), 3), (root(4), 2)],
+        [(word("abAB"), 3), (word("ab"), 2), (root(2, -1), 2), (word("aaB"), 2), (root(4), 3)],
+    ]
+    out = []
+    for spec in specs:
+        towers = [Tower(AB)]
+        for make, m in spec:
+            towers.append(towers[-1].extend_centralizer(make(towers[-1]), m))
+        out.append(towers)
+    return out
+
+raw_elems = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=5
+)
+
+
+def tower_elem(which, lvl, raw):
+    """(tower, element) at level lvl of a property tower, from raw symbol
+    choices over the base letters and the roots up to that level."""
+    t = property_towers()[which][lvl]
+    symbols = list(t.base.names) + [s.name for s in t.steps]
+    return t, tw.reduce_to_semicanonical(t, [(symbols[i % len(symbols)], e) for i, e in raw])
+
+
+def syllable_core(t, e):
+    _, core = tw.cyclic_decompose(t, e)
+    return core if isinstance(core, tw.Form) and core.ss else None
+
+
+class TestTwistProperties:
+    """The exact twist makes class representatives and conjugacy answers
+    functions of the conjugacy class alone, at levels 1-5."""
+
+    @given(st.integers(0, 1), st.integers(1, 5), raw_elems, st.integers(-50, 50))
+    def test_class_rep_twist_invariant(self, which, lvl, raw, j):
+        t, e = tower_elem(which, lvl, raw)
+        core = syllable_core(t, e)
+        assume(core is not None)
+        v = tw.lift(t, t.step_at(lvl).v, lvl)
+        rep, c, sign = tw.class_rep(t, core)
+        twisted = tw.conj(t, core, tw.pow_elem(t, v, j))
+        assert tw.class_rep(t, twisted)[0] == rep
+        again = tw.class_rep(t, rep)
+        assert again[0] == rep and again[2] == 1
+
+    @given(st.integers(0, 1), st.integers(1, 5), raw_elems, raw_elems)
+    def test_conjugate_certificates_replay(self, which, lvl, raw1, raw2):
+        t, f = tower_elem(which, lvl, raw1)
+        _, x = tower_elem(which, lvl, raw2)
+        g = tw.conj(t, f, x)
+        status, d = tw.conjugate_in_tower(t, f, g)
+        assert status == tw.CONJUGATE
+        assert tw.equal(t, tw.conj(t, f, d), g)
+
+    @given(st.integers(0, 1), st.integers(1, 5), raw_elems, raw_elems)
+    def test_status_symmetric(self, which, lvl, raw1, raw2):
+        t, f1 = tower_elem(which, lvl, raw1)
+        _, f2 = tower_elem(which, lvl, raw2)
+        s12, d12 = tw.conjugate_in_tower(t, f1, f2)
+        s21, d21 = tw.conjugate_in_tower(t, f2, f1)
+        assert s12 == s21 and s12 in (tw.CONJUGATE, tw.DISTINCT)
+        if s12 == tw.CONJUGATE:
+            assert tw.equal(t, tw.conj(t, f2, d21), f1)
+
+
+class TestTwistOracles:
+    """The exact twist against the window searches it replaced (kept above as
+    oracles): it never picks a larger class representative, keeps every
+    certificate the window found, and decides what the window left open."""
+
+    def cores(self, seed, count):
+        rng = random.Random(seed)
+        out = []
+        for towers in property_towers() + oracle_towers():
+            for t in towers[1:]:
+                for _ in range(count):
+                    core = syllable_core(t, random_elem(rng, t, n_factors=rng.randint(2, 4)))
+                    if core is not None:
+                        out.append((t, core))
+        return out
+
+    def test_class_rep_never_above_window(self):
+        for t, core in self.cores(71, 6):
+            rep, c, sign = tw.class_rep(t, core)
+            wrep, _, wsign = window_class_rep(t, core)
+            assert (tw.sort_key(t, rep), sign) <= (tw.sort_key(t, wrep), wsign)
+
+    def test_conjugacy_matches_window(self):
+        rng = random.Random(72)
+        for t, core in self.cores(73, 3):
+            x = random_elem(rng, t, n_factors=2)
+            for other in (tw.conj(t, core, x), random_elem(rng, t, n_factors=3)):
+                status, d = tw.conjugate_in_tower(t, core, other)
+                wstatus, wd = window_conjugate(t, core, other)
+                if wstatus == tw.CONJUGATE:
+                    assert (status, d) == (wstatus, wd)
+                elif wstatus == tw.DISTINCT:
+                    assert status == tw.DISTINCT
+                else:
+                    assert status in (tw.CONJUGATE, tw.DISTINCT)
+
+    def test_window_left_open_now_distinct(self):
+        # aaB and aBa are conjugate in F only by <aaB>a, which holds no power
+        # of ab, so no twisted rotation of one core matches the other
+        s = QSession(AB)
+        f1, f2 = s.normalize("(ab)^(1/2)aaB"), s.normalize("(ab)^(1/2)aBa")
+        assert window_conjugate(s.tower, f1, f2)[0] == "absent-within-bound"
+        assert tw.conjugate_in_tower(s.tower, f1, f2) == (tw.DISTINCT, None)
+
+    def test_extract_root_matches_window(self):
+        # powers d of seeded cores: the exact seam finds every root the
+        # window found, and the root rebuilds the core
+        for t, core in self.cores(75, 2):
+            for d in (1, 2, 3):
+                _, c = tw.cyclic_decompose(t, tw.pow_elem(t, core, d))
+                root, k = tw.extract_root_elem(t, c)
+                assert tw.pow_elem(t, root, k) == c and k % d == 0
+                assert k % window_extract_root(t, c)[1] == 0
+
+    def test_extendable_matches_root_power_loop(self):
+        # every element the old loop rejected as a conjugate of a root power
+        # r^k, k >= 2, is rejected as a proper power by extract_root_elem
+        rng = random.Random(76)
+        rejected = 0
+        for towers in property_towers()[:1] + oracle_towers()[:1]:
+            for t in towers[1:4]:
+                for kk in (2, 3):
+                    for i in range(1, t.level + 1):
+                        r = tw.lift(t, t.root(i), t.level)
+                        x = random_elem(rng, t, n_factors=2)
+                        v = tw.conj(t, tw.pow_elem(t, r, kk), x)
+                        _, c = tw.cyclic_decompose(t, v)
+                        assert conjugate_to_root_power(t, c)
+                        with pytest.raises(ValueError):
+                            t.extend_centralizer(c, 2)
+                        rejected += 1
+        assert rejected > 0
+
+    def test_session_core_twist_invariant(self):
+        # the core of b^(-7/4)aaaaa in a session, twisted by v^J: the window
+        # gave some twists another class representative, which printed two
+        # canonical texts for one element
+        s = QSession(AB, max_level=4)
+        e = s.normalize("b^(-7/4)aaaaa")
+        t = s.tower
+        _, core = tw.cyclic_decompose(t, e)
+        v = tw.lift(t, t.step_at(core.level).v, core.level)
+        rep = tw.class_rep(t, core)[0]
+        for j in range(-12, 13):
+            assert tw.class_rep(t, tw.conj(t, core, tw.pow_elem(t, v, j)))[0] == rep
+
+
+class TestDeepChainTwist:
+    """Twists where v is a root of a root ...: the least twist can lie many
+    chain periods away, and the digit search still finds it."""
+
+    def test_session_core_far_twist(self):
+        # the core of (ab)^(1/7)a lies where v is the index-6 root of the
+        # chain over ab, index product 720; its least twist is at j = 102
+        s = QSession(AB, max_level=8)
+        e = s.normalize("(ab)^(1/7)a")
+        t = s.tower
+        _, core = tw.cyclic_decompose(t, e)
+        assert tw._twist(t, core)[1] == 102
+        v = tw.lift(t, t.step_at(core.level).v, core.level)
+        rep = tw.class_rep(t, core)[0]
+        for j in (1, 6, 102, 719, -720, 2023):
+            assert tw.class_rep(t, tw.conj(t, core, tw.pow_elem(t, v, j)))[0] == rep
+
+    @pytest.mark.parametrize(
+        "queries, period",
+        [
+            (["(ab)^(1/5)"], 24),
+            # the chain over ab is lifted through the levels of a and b
+            (["(ab)^(1/2)", "a^(1/2)", "(ab)^(1/3)", "b^(1/2)", "(ab)^(1/4)"], 6),
+        ],
+    )
+    def test_twist_matches_brute_force(self, queries, period):
+        # rotations at the top level, where v has the given index product,
+        # against the least key over |j| <= 4 period + 30
+        s = QSession(AB, max_level=5)
+        for q in queries:
+            s.normalize(q)
+        t = s.tower
+        v = tw.lift(t, t.step_at(t.level).v, t.level)
+        symbols = list(t.base.names) + [step.name for step in t.steps]
+        rng = random.Random(81)
+        checked = 0
+        while checked < 12:
+            raw = [(rng.choice(symbols), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(2, 6))]
+            core = syllable_core(t, tw.reduce_to_semicanonical(t, raw))
+            if core is None or core.level != t.level:
+                continue
+            for p in tw._prefixes(t, core):
+                g = tw.conj(t, core, p)
+                span = range(-4 * period - 30, 4 * period + 31)
+                twists = {j: tw.conj(t, g, tw.pow_elem(t, v, j)) for j in span}
+                twist, j = tw._twist(t, g)
+                assert twists[j] == twist
+                assert tw.sort_key(t, twist) == min(tw.sort_key(t, x) for x in twists.values())
+                checked += 1
 
 
 class TestCacheKeys:
