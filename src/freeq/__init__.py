@@ -52,7 +52,6 @@ from .tower import (
     cyclic_decompose,
     elem_len,
     extract_root_elem,
-    from_word,
     serialize,
 )
 from .qcompletion import (

@@ -310,11 +310,7 @@ def _tower_from_json(obj) -> Tower:
         session.tower = t
         try:
             v = session.normalize(step["v"])
-            t = session.tower.extend_centralizer(
-                tower.lift(session.tower, v, session.tower.level),
-                step["m"],
-                name=step.get("name"),
-            )
+            t = session.tower.extend_centralizer(v, step["m"], name=step.get("name"))
         except (WordSyntaxError, ValueError) as ex:
             raise InputError("invalid-input", f"step {i}: {ex}")
     return t
@@ -331,8 +327,8 @@ def _cmd_tower_show(args, out: _Output) -> int:
             {
                 "name": step.name,
                 "m": step.m,
-                "v": tower.serialize(t, tower.lift(t, step.v, i)),
-                "root": tower.serialize(t, tower.lift(t, t.root(i + 1), t.level)),
+                "v": tower.serialize(t, step.v),
+                "root": tower.serialize(t, t.root(i + 1)),
             }
         )
     out.put("steps", steps)
@@ -397,7 +393,7 @@ def _cmd_qword_conj(args, out: _Output) -> int:
     status, c = session.q_conjugate(q1, q2)
     out.put("status", status)
     if status == tower.CONJUGATE:
-        out.put("conjugator", tower.serialize(session.tower, session.top(c)))
+        out.put("conjugator", tower.serialize(session.tower, c))
         return EXIT_OK
     return EXIT_NEGATIVE
 

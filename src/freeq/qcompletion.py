@@ -69,13 +69,6 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else None
 
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise QSyntaxError("unexpected end of input", self.pos)
-        self.pos += 1
-        return ch
-
     def expect(self, ch: str):
         got = self.peek()
         if got != ch:
@@ -159,7 +152,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise QSyntaxError("expected digits", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise QSyntaxError(f"{self.pos - start}-digit number is too long", start)
 
 
 def parse_qword(alphabet: Alphabet, text: str) -> QWord:
@@ -183,13 +179,9 @@ def locate(t: Tower, e: Elem) -> int:
     level) and the exponent denominators; 0 for plain base words."""
     if not isinstance(e, Form):
         return 0
-    best = max((locate(t, h) for h in e.hs), default=0)
-    if e.ss:
-        v = t.step_at(e.level).v
-        cls = max(2, tw.elem_len(t, v), locate(t, v) + 1)
-        for s in e.ss:
-            best = max(best, cls, s.denominator)
-    return best
+    v = t.step_at(e.level).v
+    cls = max(2, tw.elem_len(t, v), locate(t, v) + 1)
+    return max(cls, *(locate(t, h) for h in e.hs), *(s.denominator for s in e.ss))
 
 
 # -- lazy per-query sessions -------------------------------------------------
@@ -201,7 +193,7 @@ class _Chain:
     so every small denominator eventually divides the cumulative index."""
 
     key: str
-    rep: Elem  # at the tower level where the class was registered
+    rep: Elem  # at its own level
     levels: List[int]
     ms: List[int]
 
@@ -226,20 +218,15 @@ class QSession:
         self.max_level = max_level
         self.chains: List[_Chain] = []
 
-    # -- element plumbing
-
-    def top(self, e: Elem) -> Elem:
-        return tw.lift(self.tower, e, self.tower.level)
-
     def canonical_text(self, e: Elem) -> str:
-        return tw.serialize(self.tower, self.top(e))
+        return tw.serialize(self.tower, e)
 
     # -- class chains
 
     def _chain_root(self, chain: _Chain) -> Elem:
         if not chain.levels:
-            return self.top(chain.rep)
-        return self.top(self.tower.root(chain.levels[-1]))
+            return chain.rep
+        return self.tower.root(chain.levels[-1])
 
     def _ensure_denominator(self, chain: _Chain, q: int):
         while chain.index % q:
@@ -259,7 +246,7 @@ class QSession:
     def _class_power(self, chain: _Chain, rho: Fraction) -> Elem:
         """rep^rho as a tower element."""
         if rho.denominator == 1:
-            return tw.pow_elem(self.tower, self.top(chain.rep), int(rho))
+            return tw.pow_elem(self.tower, chain.rep, int(rho))
         self._ensure_denominator(chain, rho.denominator)
         exponent = rho * chain.index
         if exponent.denominator != 1:
@@ -268,79 +255,72 @@ class QSession:
 
     def _root_power(self, root: Elem, r: Fraction) -> Elem:
         """root^r for a primitive cyclically reduced element."""
-        root = self.top(root)
         if r.denominator == 1:
             return tw.pow_elem(self.tower, root, int(r))
         # an existing chain may already hold this class (possibly as one of
         # its iterated roots, or up to inversion/conjugacy)
         for chain in self.chains:
-            candidates = [(self.top(chain.rep), Fraction(1))]
+            candidates = [(chain.rep, Fraction(1))]
             m_cum = 1
             for lvl, m in zip(chain.levels, chain.ms):
                 m_cum *= m
-                candidates.append((self.top(self.tower.root(lvl)), Fraction(1, m_cum)))
+                candidates.append((self.tower.root(lvl), Fraction(1, m_cum)))
             for cand, scale in candidates:
                 for sign, target in ((1, cand), (-1, tw.inv(self.tower, cand))):
                     status, d = tw.conjugate_in_tower(self.tower, target, root)
                     if status == tw.CONJUGATE:
                         # d^-1 rep^(sign*scale) d = root
                         val = self._class_power(chain, sign * scale * r)
-                        d = self.top(d)
-                        return tw.mul(self.tower, tw.inv(self.tower, d), self.top(val), d)
+                        return tw.mul(self.tower, tw.inv(self.tower, d), val, d)
         rep, c, sign = tw.class_rep(self.tower, root)
         chain = _Chain(
             key=tw.serialize(self.tower, rep), rep=rep, levels=[], ms=[]
         )
         self.chains.append(chain)
         val = self._class_power(chain, Fraction(sign) * r)
-        c = self.top(c)
-        return tw.mul(self.tower, c, self.top(val), tw.inv(self.tower, c))
+        return tw.mul(self.tower, c, val, tw.inv(self.tower, c))
 
     # -- normalization
 
     def normalize(self, q) -> Elem:
-        """Canonical tower form of a Q-word (text or parsed)."""
+        """Canonical tower form of a Q-word (text or parsed), at its own level."""
         if isinstance(q, str):
             q = parse_qword(self.alphabet, q)
-        return self.top(self._norm(q))
+        return self._norm(q)
 
     def _norm(self, node: QWord) -> Elem:
         if isinstance(node, QLetter):
-            return tw.from_word(self.tower, (node.letter,))
+            return (node.letter,)
         if isinstance(node, QProduct):
-            acc = tw.identity(self.tower, self.tower.level)
+            acc: Elem = ()
             for f in node.factors:
-                fe = self._norm(f)
-                acc = tw.mul(self.tower, self.top(acc), self.top(fe))
+                fe = self._norm(f)  # may grow self.tower: read it only after
+                acc = tw.mul(self.tower, acc, fe)
             return acc
         base = self._norm(node.base)
         r = node.exponent
         if r.denominator == 1:
             return tw.pow_elem(self.tower, base, int(r))
-        base = self.top(base)
         x, core = tw.cyclic_decompose(self.tower, base)
         if tw.is_trivial(core):
-            return tw.identity(self.tower, self.tower.level)
+            return ()
         root, k = tw.extract_root_elem(self.tower, core)
-        val = self._root_power(tw.lift(self.tower, root, tw.level_of(base)), k * r)
-        x = self.top(x)
-        return tw.mul(self.tower, x, self.top(val), tw.inv(self.tower, x))
+        val = self._root_power(root, k * r)
+        return tw.mul(self.tower, x, val, tw.inv(self.tower, x))
 
     # -- decisions
 
     def q_equal(self, a, b) -> bool:
-        e1 = self.normalize(a)
-        e2 = self.normalize(b)
-        return self.top(e1) == self.top(e2)
+        return self.normalize(a) == self.normalize(b)
 
     def q_conjugate(self, a, b) -> Tuple[str, Optional[Elem]]:
         """Conjugacy decision with a certificate element on success."""
         e1 = self.normalize(a)
         e2 = self.normalize(b)
-        return tw.conjugate_in_tower(self.tower, self.top(e1), self.top(e2))
+        return tw.conjugate_in_tower(self.tower, e1, e2)
 
     def locate(self, e: Elem) -> int:
-        return locate(self.tower, self.top(e))
+        return locate(self.tower, e)
 
 
 # -- eager tables and tower levels -------------------------------------------
@@ -350,7 +330,7 @@ class QSession:
 class VnEntry:
     text: str
     length: int
-    elem: Elem  # class representative at the source tower's top level
+    elem: Elem  # class representative, at its own level
 
 
 @dataclass(frozen=True)
@@ -383,14 +363,13 @@ def enumerate_Vn(ti: TowerIndex, n: int) -> VnTable:
     if n < 1:
         raise ValueError("table level must be >= 1")
     t = ti.tower
-    top = t.level
-    gens: List[Elem] = [tw.from_word(t, (i,)) for i in range(1, t.base.size + 1)]
-    gens += [tw.lift(t, t.root(i), top) for i in range(1, top + 1)]
+    gens: List[Elem] = [(i,) for i in range(1, t.base.size + 1)]
+    gens += [t.root(i) for i in range(1, t.level + 1)]
     letters: List[Elem] = []
     for g in gens:
         letters.append(g)
         letters.append(tw.inv(t, g))
-    seen = {tw.identity(t, top)}
+    seen = {()}
     frontier = list(seen)
     for _ in range(n):
         nxt = []
@@ -440,8 +419,7 @@ def tower_level(alphabet: Alphabet, n: int, max_level: int = 3) -> TowerIndex:
         table = enumerate_Vn(idx, k)
         t = idx.tower
         for entry in table.entries:
-            v = tw.lift(t, entry.elem, t.level)
-            t = t.extend_centralizer(v, k, name=f"w[{k};{entry.text}]", validate=False)
+            t = t.extend_centralizer(entry.elem, k, name=f"w[{k};{entry.text}]", validate=False)
         idx = TowerIndex(k, t, idx.tables + (table,))
         _tower_levels[(alphabet.names, k)] = idx
     return idx

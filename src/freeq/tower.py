@@ -7,6 +7,12 @@ s_i in (0,1) with denominator dividing m, and interior h_i outside <v>.
 Fixing left-coset representatives for the interior syllables (overflow
 pushed rightward) makes the form canonical: equal elements have identical
 forms.
+
+Storage rule: every element lives at the level of its own syllables.  An
+element of the base amalgam H (no syllable at level k) is stored as that
+element of H, down to a plain Word at level 0; a Form always has at least
+one syllable, and its h_i may live at any lower level.  Operations accept
+operands of different levels and return results at their own level.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from . import words
-from .words import Alphabet, CertificateError, Word
+from .words import Alphabet, CertificateError
 
-Elem = Union[tuple, "Form"]  # level-0 elements are plain Words
+Elem = Union[tuple, "Form"]  # a plain Word, or a Form at the level of its syllables
 
 
 class ResourceCapError(RuntimeError):
@@ -30,22 +36,29 @@ class ResourceCapError(RuntimeError):
 # raises ResourceCapError instead of multiplying without limit.
 MAX_POWER_LENGTH = 10**6
 
-# Most extension steps a tower holds (tower_level(ab, 3) has 92).  Forms nest
-# one Form per level and the recursive operations fail past about 240
-# levels, so extend_centralizer raises ResourceCapError beyond this cap.
+# Most extension steps a tower holds (tower_level(ab, 3) has 92).  A form
+# nests only the lower forms it holds (mul, serialize and locate run on a
+# chain of 600 square roots), but _twist's digit search recurses once per
+# root of v's chain of roots, so class_rep and extract_root_elem fail with
+# RecursionError on a chain of 200 roots: extend_centralizer raises
+# ResourceCapError beyond this cap.
 MAX_LEVEL = 160
 
 
 @dataclass(frozen=True, slots=True)
 class Form:
-    """Alternating semicanonical form at a given extension level."""
+    """Alternating semicanonical form with n >= 1 syllables at extension
+    level `level`; an element without a syllable there is not a Form at that
+    level but the lower element itself."""
 
     level: int
-    hs: tuple  # n+1 elements of the level below
-    ss: tuple  # n fractional exponents, each in (0,1)
+    hs: tuple  # n+1 elements, each of any level below `level`
+    ss: tuple  # n >= 1 fractional exponents, each in (0,1)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.ss:
+            raise ValueError("a form needs a syllable: store the lower element itself")
         if len(self.hs) != len(self.ss) + 1:
             raise ValueError("alternating form needs one more h than syllables")
         for s in self.ss:
@@ -53,7 +66,7 @@ class Form:
                 raise ValueError(f"syllable exponent must be a Fraction in (0,1): {s}")
         object.__setattr__(self, "_hash", hash((self.level, self.hs, self.ss)))
 
-    def __hash__(self):  # cached: forms nest deeply and live in dict keys
+    def __hash__(self):  # cached: forms nest and live in dict keys
         return self._hash
 
     @property
@@ -65,13 +78,23 @@ class Form:
 class Step:
     """One centralizer extension: adjoin an m-th root (named `name`) of v."""
 
-    v: Elem  # at the level below this step
+    v: Elem  # at its own level, below this step
     m: int
     name: str
 
 
 def level_of(e: Elem) -> int:
     return e.level if isinstance(e, Form) else 0
+
+
+def _factors(e: Elem, lvl: int) -> Tuple[tuple, tuple]:
+    """(hs, ss) of e read at level lvl >= its own: a lower e is one factor."""
+    return (e.hs, e.ss) if level_of(e) == lvl else ((e,), ())
+
+
+def _form(lvl: int, hs: tuple, ss: tuple) -> Elem:
+    """The form h1 v^s1 ... at level lvl, or h1 itself when no syllable is left."""
+    return Form(lvl, hs, ss) if ss else hs[0]
 
 
 class Tower:
@@ -111,7 +134,7 @@ class Tower:
     def extend_centralizer(
         self, v: Elem, m: int, name: Optional[str] = None, validate: bool = True
     ) -> "Tower":
-        """Adjoin an m-th root of v (an element at the current top level).
+        """Adjoin an m-th root of v (an element of the tower, at any level).
 
         `validate=False` skips the primitivity/maximality check for callers
         that have already vetted v (bulk tower construction).
@@ -120,8 +143,8 @@ class Tower:
             raise ValueError("root exponent m must be >= 1")
         if m > 1 and self.level >= MAX_LEVEL:
             raise ResourceCapError(f"tower would exceed {MAX_LEVEL} levels")
-        if level_of(v) != self.level:
-            raise ValueError("v must be an element at the tower's top level")
+        if level_of(v) > self.level:
+            raise ValueError("v must be an element of the tower")
         v = canonical_form(self, v)
         if is_trivial(v):
             raise ValueError("cannot extend the centralizer of the identity")
@@ -141,40 +164,12 @@ class Tower:
 
     def root(self, lvl: int) -> "Form":
         """The adjoined root of the step creating level lvl, as a level-lvl element."""
-        idv = identity(self, lvl - 1)
-        return Form(lvl, (idv, idv), (Fraction(1, self.step_at(lvl).m),))
-
-
-# -- basic constructors ------------------------------------------------------
-
-
-def identity(t: Tower, lvl: int) -> Elem:
-    e: Elem = ()
-    for i in range(lvl):
-        e = Form(i + 1, (e,), ())
-    return e
-
-
-def wrap(e: Elem) -> Form:
-    return Form(level_of(e) + 1, (e,), ())
-
-
-def lift(t: Tower, e: Elem, lvl: int) -> Elem:
-    while level_of(e) < lvl:
-        e = wrap(e)
-    if level_of(e) != lvl:
-        raise ValueError("cannot lower an element's level")
-    return e
-
-
-def from_word(t: Tower, w: Word, lvl: Optional[int] = None) -> Elem:
-    return lift(t, words.free_reduce(w), t.level if lvl is None else lvl)
+        return Form(lvl, ((), ()), (Fraction(1, self.step_at(lvl).m),))
 
 
 def is_trivial(e: Elem) -> bool:
-    if isinstance(e, Form):
-        return not e.ss and is_trivial(e.hs[0])
-    return not e
+    """A Form always has a syllable, so only the empty word is trivial."""
+    return not isinstance(e, Form) and not e
 
 
 # -- length, serialization, ordering ----------------------------------------
@@ -184,7 +179,7 @@ def elem_len(t: Tower, e: Elem) -> int:
     """Word length over the canonical generating set (base letters + roots)."""
     if not isinstance(e, Form):
         return len(e)
-    m = t.step_at(e.level).m if e.ss else 1
+    m = t.step_at(e.level).m
     return sum(elem_len(t, h) for h in e.hs) + sum(s.numerator * (m // s.denominator) for s in e.ss)
 
 
@@ -192,22 +187,19 @@ def serialize(t: Tower, e: Elem) -> str:
     """Q-word text for the form; root powers print as (v)^(k/m)."""
     if not isinstance(e, Form):
         return t.base.format(e)
-    if is_trivial(e):
-        return "1"
     key = ("ser", t._pid[e.level], e)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    step = t.step_at(e.level) if e.ss else None
+    vtxt = serialize(t, t.step_at(e.level).v)
     parts = []
     for i, h in enumerate(e.hs):
         if not is_trivial(h):
             parts.append(serialize(t, h))
         if i < len(e.ss):
             s = e.ss[i]
-            vtxt = serialize(t, step.v)
             parts.append(f"({vtxt})^({s.numerator}/{s.denominator})")
-    out = serialize(t, e.hs[0]) if not parts else "".join(parts)
+    out = "".join(parts)
     cache[key] = out
     return out
 
@@ -239,28 +231,29 @@ def sort_key(t: Tower, e: Elem):
 # -- multiplication and normal forms ----------------------------------------
 
 
-def _mul_level(t: Tower, lvl: int, a: Elem, b: Elem) -> Elem:
+def _mul_level(t: Tower, a: Elem, b: Elem) -> Elem:
+    """a b, normalized at the higher of the two levels."""
+    lvl = max(level_of(a), level_of(b))
     if lvl == 0:
         return words.mul(a, b)
     key = ("mul", t._pid[lvl], a, b)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    hs = a.hs[:-1] + (_mul_level(t, lvl - 1, a.hs[-1], b.hs[0]),) + b.hs[1:]
-    ss = a.ss + b.ss
-    out = _normalize(t, lvl, list(hs), list(ss))
+    (ha, sa), (hb, sb) = _factors(a, lvl), _factors(b, lvl)
+    hs = [*ha[:-1], _mul_level(t, ha[-1], hb[0]), *hb[1:]]
+    out = _normalize(t, lvl, hs, list(sa + sb))
     cache[key] = out
     return out
 
 
 def mul(t: Tower, *elems: Elem) -> Elem:
+    """Product of elements of any levels, at the level of its own syllables."""
     if not elems:
         raise ValueError("mul needs at least one element")
     out = elems[0]
     for e in elems[1:]:
-        if level_of(e) != level_of(out):
-            raise ValueError("cannot multiply elements at different levels")
-        out = _mul_level(t, level_of(out), out, e)
+        out = _mul_level(t, out, e)
     return out
 
 
@@ -285,7 +278,7 @@ def pow_elem(t: Tower, e: Elem, n: int) -> Elem:
         raise ResourceCapError(
             f"power {n} of a length-{elem_len(t, e)} element exceeds {MAX_POWER_LENGTH} letters"
         )
-    out, acc = identity(t, level_of(e)), e
+    out, acc = (), e
     while n:
         if n & 1:
             out = mul(t, out, acc)
@@ -301,7 +294,7 @@ def conj(t: Tower, g: Elem, x: Elem) -> Elem:
 
 
 def _vpow(t: Tower, lvl: int, k: int) -> Elem:
-    """v^k at level lvl-1, for the step creating level lvl."""
+    """v^k, for the step creating level lvl (at v's level or below)."""
     step = t.step_at(lvl)
     key = ("vpow", t._pid[lvl], k)
     cache = t._cache("ops")
@@ -310,8 +303,9 @@ def _vpow(t: Tower, lvl: int, k: int) -> Elem:
     return cache[key]
 
 
-def _normalize(t: Tower, lvl: int, hs: List[Elem], ss: List[Fraction]) -> Form:
-    """Canonical form of h0 v^s1 h1 ... v^sn hn.  One left-to-right stack pass
+def _normalize(t: Tower, lvl: int, hs: List[Elem], ss: List[Fraction]) -> Elem:
+    """Canonical form of h0 v^s1 h1 ... v^sn hn, or the lower element itself
+    when every syllable cancels.  One left-to-right stack pass
     brings exponents into (0,1), overflow pushed into the next factor; a
     whole exponent merges its neighbours, and a pinch (an interior factor in
     <v>, tested only when a fractional syllable follows it) merges the
@@ -343,7 +337,7 @@ def _normalize(t: Tower, lvl: int, hs: List[Elem], ss: List[Fraction]) -> Form:
         out_h[i], carry = coset_rep(t, h, v)
     if carry:
         out_h[-1] = mul(t, _vpow(t, lvl, carry), out_h[-1])
-    return Form(lvl, tuple(out_h), tuple(out_s))
+    return _form(lvl, tuple(out_h), tuple(out_s))
 
 
 def canonical_form(t: Tower, e: Elem) -> Elem:
@@ -354,11 +348,7 @@ def canonical_form(t: Tower, e: Elem) -> Elem:
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    hs = [canonical_form(t, h) for h in e.hs]
-    if e.ss:
-        out = _normalize(t, e.level, hs, list(e.ss))
-    else:
-        out = Form(e.level, (hs[0],), ())
+    out = _normalize(t, e.level, [canonical_form(t, h) for h in e.hs], list(e.ss))
     cache[key] = out
     return out
 
@@ -381,8 +371,7 @@ def exponent_vector(t: Tower, e: Elem):
             out[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(Fraction(c) for c in out)
     vecs = [exponent_vector(t, h) for h in e.hs]
-    if e.ss:
-        vecs.append(tuple(sum(e.ss) * c for c in exponent_vector(t, t.step_at(e.level).v)))
+    vecs.append(tuple(sum(e.ss) * c for c in exponent_vector(t, t.step_at(e.level).v)))
     return tuple(sum(col, Fraction(0)) for col in zip(*vecs))
 
 
@@ -396,31 +385,33 @@ def is_in_cyclic(t: Tower, h: Elem, v: Elem) -> Optional[int]:
 def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
     """Designated representative of the left coset h<v>: h = rep * v^k, with
     rep the (elem_len, sort_key)-least element h v^-j of the coset, so every
-    member of the coset picks the same one.  h and v are canonical at one
-    level, v cyclically reduced.  Exact, by cases:
+    member of the coset picks the same one.  h and v are canonical, v
+    cyclically reduced; l is the higher of their levels.  Exact, by cases:
 
     - Words.  s is the longest suffix of h that is a suffix of v^N or of
       v^-N (not both, as v[-1] != v[0]^-1).  For q = s // |v|, |h v^-j| falls
       by |v| per step up to q and rises by |v| per step from q+1, so the
       least element is among j in {0, +-q, +-(q+1)}, sort_key breaking a tie.
-    - v without syllables at its level.  v^-j changes only h's trailing
-      factor, and sort_key compares the common prefix first: the trailing
-      factor's rep one level down, put back in place.
-    - v = w^+-1, the level's adjoined root (w^m = v_l).  With (c, k) the rep
-      of h's trailing factor in its coset of <v_l>, h = (h with trailing
-      factor c) w^(m k); if c is trivial, the last syllable s_n goes too, at
-      j = m (k + s_n).  Every other member has an extra syllable or a longer
-      trailing factor.
+    - v below l.  v^-j changes only h's trailing factor, and sort_key
+      compares the common prefix first: the trailing factor's rep, put back
+      in place.
+    - v = w^+-1, level l's adjoined root (w^m = v_l).  With (c, k) the rep
+      of h's trailing factor in its coset of <v_l> (h itself if h is below
+      l), h = (h with trailing factor c) w^(m k); if c is trivial, the last
+      syllable s_n goes too, at j = m (k + s_n), leaving the lower factor if
+      it was h's only syllable.  Every other member has an extra syllable or
+      a longer trailing factor.
     - Any other v.  v^j has n|j| syllables and the cancellation against h
       stops after whole periods, so the key of h v^-j strictly falls, has a
       plateau of at most two points, then strictly rises: walk downhill from
       the exponent-vector centre (j = 0 for a zero vector) to the first rise.
     """
-    key = ("rep", t._pid[level_of(h)], h, v)
+    lvl = max(level_of(h), level_of(v))
+    key = ("rep", t._pid[lvl], h, v)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    if not isinstance(h, Form):
+    if lvl == 0:
         u, sign = (words.inverse(v), -1) if h and h[-1] == -v[0] else (v, 1)
         s = 0
         while s < len(h) and h[-1 - s] == u[-1 - s % len(u)]:
@@ -428,17 +419,18 @@ def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
         q = s // len(u)
         cands = [(words.mul(h, words.power(u, -j)), sign * j) for j in (0, q, q + 1)]
         out = min(cands, key=lambda c: sort_key(t, c[0]))
-    elif not v.ss:
-        c, k = coset_rep(t, h.hs[-1], v.hs[0])
-        out = Form(h.level, h.hs[:-1] + (c,), h.ss), k
-    elif v in (w := t.root(h.level), inv(t, w)):
-        step = t.step_at(h.level)
+    elif level_of(v) < lvl:
+        c, k = coset_rep(t, h.hs[-1], v)
+        out = Form(lvl, h.hs[:-1] + (c,), h.ss), k
+    elif v in (w := t.root(lvl), inv(t, w)):
+        step = t.step_at(lvl)
         m = step.m if v == w else -step.m
-        c, k = coset_rep(t, h.hs[-1], step.v)
-        if is_trivial(c) and h.ss:
-            out = Form(h.level, h.hs[:-1], h.ss[:-1]), int(m * (k + h.ss[-1]))
+        hs, ss = _factors(h, lvl)
+        c, k = coset_rep(t, hs[-1], step.v)
+        if is_trivial(c) and ss:
+            out = _form(lvl, hs[:-1], ss[:-1]), int(m * (k + ss[-1]))
         else:
-            out = Form(h.level, h.hs[:-1] + (c,), h.ss), m * k
+            out = _form(lvl, hs[:-1] + (c,), ss), m * k
     else:
         vvec = exponent_vector(t, v)
         i = next((i for i, c in enumerate(vvec) if c), None)
@@ -460,49 +452,50 @@ def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
 
 
 def cyclic_decompose(t: Tower, e: Elem) -> Tuple[Elem, Elem]:
-    """(x, c) with e = x c x^-1 and c cyclically reduced in the amalgam sense."""
-    lvl = level_of(e)
-    if lvl == 0:
-        cw = words.cyclic_reduce(e)
-        return cw.conjugator, cw.core
-    e = canonical_form(t, e)
-    x, idv = identity(t, lvl), identity(t, lvl - 1)
-    while e.ss:
+    """(x, c) with e = x c x^-1 and c cyclically reduced in the amalgam sense;
+    c drops to a lower level whenever its last syllable cancels."""
+    x, e = (), canonical_form(t, e)
+    while isinstance(e, Form):
         if not is_trivial(e.hs[0]):
-            y = lift(t, e.hs[0], lvl)
-        elif len(e.ss) == 1 or (k := is_in_cyclic(t, e.hs[-1], t.step_at(lvl).v)) is None:
+            y = e.hs[0]
+        elif len(e.ss) == 1 or (k := is_in_cyclic(t, e.hs[-1], t.step_at(e.level).v)) is None:
             # one syllable: a trailing v^k is exponent overflow, not a pinch
             return x, e
         elif k:
             # trailing v^k is a wrap pinch: conjugate it into the first syllable
-            y = lift(t, inv(t, e.hs[-1]), lvl)
+            y = inv(t, e.hs[-1])
         else:
             # trailing pure syllable: rotate it to the front
-            y = _normalize(t, lvl, [idv, idv], [-e.ss[-1]])
+            y = _normalize(t, e.level, [(), ()], [-e.ss[-1]])
         x, e = mul(t, x, y), conj(t, e, y)
-    xl, cl = cyclic_decompose(t, e.hs[0])
-    return mul(t, x, wrap(xl)), wrap(cl)
+    cw = words.cyclic_reduce(e)
+    return mul(t, x, cw.conjugator), cw.core
 
 
 def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
-    """Primitive root and maximal exponent of a cyclically reduced element."""
-    lvl = level_of(c)
-    if lvl == 0:
-        if not c:
-            raise ValueError("identity has no root")
-        return words.extract_root(c)
-    c = canonical_form(t, c)
-    if not c.ss:
-        root, k = extract_root_elem(t, c.hs[0])
-        # the lower-level root may itself be a power of this step's adjoined
-        # root: v = r^m, so a conjugate of v yields a conjugate of r
+    """Primitive root in t (at its top level) and maximal exponent of a
+    cyclically reduced element: the root at c's own level, then each level
+    above it in turn, where a root conjugate to that step's v^+-1 = r^+-m is
+    replaced by the conjugate of r^+-1 and its exponent multiplied by m."""
+    root, k = _own_root(t, canonical_form(t, c))
+    for lvl in range(level_of(root) + 1, t.level + 1):
         step = t.step_at(lvl)
         for target, r in ((step.v, t.root(lvl)), (inv(t, step.v), inv(t, t.root(lvl)))):
             status, d = conjugate_in_tower(t, target, root)
             if status == CONJUGATE:
-                return conj(t, r, lift(t, d, lvl)), k * step.m
-        return wrap(root), k
-    n = c.syllable_count
+                root, k = conj(t, r, d), k * step.m
+                break
+    return root, k
+
+
+def _own_root(t: Tower, c: Elem) -> Tuple[Elem, int]:
+    """Primitive root and maximal exponent of a canonical cyclically reduced
+    element among the elements of its own level."""
+    if not isinstance(c, Form):
+        if not c:
+            raise ValueError("identity has no root")
+        return words.extract_root(c)
+    lvl, n = c.level, c.syllable_count
     step = t.step_at(lvl)
     if n == 1 and is_trivial(c.hs[0]):
         k = is_in_cyclic(t, c.hs[1], step.v)
@@ -521,9 +514,9 @@ def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
             continue
         p = _prefixes(t, c)[2 * (n // d)]
         (tc, jc), (tr, jr) = _twist(t, c), _twist(t, conj(t, c, p))
-        cand = mul(t, p, wrap(_vpow(t, lvl, jr - jc)))
+        cand = mul(t, p, _vpow(t, lvl, jr - jc))
         if tr == tc and pow_elem(t, cand, d) == c:
-            root, k = extract_root_elem(t, cand)
+            root, k = _own_root(t, cand)
             return root, k * d
     return c, 1
 
@@ -535,22 +528,13 @@ DISTINCT = "distinct"
 def _prefixes(t: Tower, e: Form) -> List[Elem]:
     """Products of the first i alternating factors of a form, i from 0 (the
     identity) to one short of all: the conjugators of its cyclic rotations."""
-    lvl = e.level
-    out = [identity(t, lvl)]
-    idv = identity(t, lvl - 1)
+    out: List[Elem] = [()]
     for i, h in enumerate(e.hs):
         if not is_trivial(h):
-            out.append(mul(t, out[-1], lift(t, h, lvl)))
+            out.append(mul(t, out[-1], h))
         if i < len(e.ss):
-            out.append(mul(t, out[-1], Form(lvl, (idv, idv), (e.ss[i],))))
+            out.append(mul(t, out[-1], Form(e.level, ((), ()), (e.ss[i],))))
     return out[:-1]
-
-
-def _bare(e: Elem) -> Elem:
-    """e without the syllable-free levels it is lifted through."""
-    while isinstance(e, Form) and not e.ss:
-        e = e.hs[0]
-    return e
 
 
 def _shape(e: Elem, lam: int, out: list) -> list:
@@ -601,7 +585,7 @@ def _twist(t: Tower, g: Form) -> Tuple[Form, int]:
     lvl = g.level
 
     def twisted(j: int) -> Form:
-        return mul(t, wrap(_vpow(t, lvl, -j)), g, wrap(_vpow(t, lvl, j)))
+        return mul(t, _vpow(t, lvl, -j), g, _vpow(t, lvl, j))
 
     def rank(j: int):
         return sort_key(t, twisted(j))
@@ -625,14 +609,15 @@ def _twist(t: Tower, g: Form) -> Tuple[Form, int]:
     if twisted(1) == g:
         out = g, 0
     else:
-        radices, lams, passed, u, memo = [], [lvl], [], t.step_at(lvl).v, {}
-        while isinstance(b := _bare(u), Form) and b in (w := t.root(b.level), inv(t, w)):
-            passed += range(b.level + 1, level_of(u) + 1)
-            low = all(level_of(_bare(t.step_at(k).v)) < b.level for k in passed)
-            radices.append(t.step_at(b.level).m)
-            lams.append(b.level if low else lams[-1])
-            u = t.step_at(b.level).v
-        n = len(b.ss) if isinstance(b, Form) else len(b)
+        radices, lams, passed, memo = [], [lvl], [], {}
+        above, u = lvl, t.step_at(lvl).v  # u is the step element of level `above`
+        while isinstance(u, Form) and u in (w := t.root(u.level), inv(t, w)):
+            passed += range(u.level + 1, above)
+            low = all(level_of(t.step_at(k).v) < u.level for k in passed)
+            radices.append(t.step_at(u.level).m)
+            lams.append(u.level if low else lams[-1])
+            above, u = u.level, t.step_at(u.level).v
+        n = len(u.ss) if isinstance(u, Form) else len(u)
         j = least(0, 0, 1)
         out = twisted(j), j
     cache[key] = out
@@ -643,14 +628,11 @@ def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem
     """Conjugacy decision: (status, conjugator d with d^-1 f1 d = f2).
 
     Different exponent vectors (a conjugation invariant) mean distinct, and
-    syllable-free forms recurse down.  Forms with syllables follow Collins'
-    lemma (Lyndon-Schupp IV.2.8): each rotation p^-1 c1 p, in prefix order,
-    is compared with c2 through their least twists (`_twist`); equal ones
-    give d = p v^(jp - j2), and no match proves the pair distinct.
+    so do cyclic cores at different levels.  Cores with syllables follow
+    Collins' lemma (Lyndon-Schupp IV.2.8): each rotation p^-1 c1 p, in prefix
+    order, is compared with c2 through their least twists (`_twist`); equal
+    ones give d = p v^(jp - j2), and no match proves the pair distinct.
     """
-    lvl = level_of(f1)
-    if level_of(f2) != lvl:
-        raise ValueError("forms must live at the same tower level")
     if exponent_vector(t, f1) != exponent_vector(t, f2):
         return DISTINCT, None
     x1, c1 = cyclic_decompose(t, f1)
@@ -662,12 +644,12 @@ def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem
             raise CertificateError("conjugator does not conjugate f1 to f2")
         return CONJUGATE, total
 
+    lvl = level_of(c1)
+    if level_of(c2) != lvl:
+        return DISTINCT, None
     if lvl == 0:
         d = words.conjugacy_witness(c1, c2)
         return finish(d) if d is not None else (DISTINCT, None)
-    if not c1.ss and not c2.ss:
-        status, d = conjugate_in_tower(t, c1.hs[0], c2.hs[0])
-        return finish(wrap(d)) if status == CONJUGATE else (status, None)
     if c1.ss not in [c2.ss[i:] + c2.ss[:i] for i in range(len(c2.ss))]:
         return DISTINCT, None
     for p in _prefixes(t, c1):
@@ -676,7 +658,7 @@ def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem
             return finish(p)
         (tp, jp), (t2, j2) = _twist(t, rot), _twist(t, c2)
         if tp == t2:
-            return finish(mul(t, p, wrap(_vpow(t, lvl, jp - j2))))
+            return finish(mul(t, p, _vpow(t, lvl, jp - j2)))
     return DISTINCT, None
 
 
@@ -684,22 +666,22 @@ def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem
 
 
 def resolve_symbol(t: Tower, name: str) -> Elem:
-    """Base letter, root name, or alias name -> element at the tower's top level."""
+    """Base letter, root name, or alias name -> element (at its own level)."""
     low = name.lower()
     if len(name) == 1 and low in t.base.names:
-        return lift(t, (t.base.letter(name),), t.level)
+        return (t.base.letter(name),)
     for i, step in enumerate(t.steps):
         if step.name == name:
-            return lift(t, t.root(i + 1), t.level)
+            return t.root(i + 1)
     for alias, e in t.aliases:
         if alias == name:
-            return lift(t, e, t.level)
+            return e
     raise ValueError(f"unknown symbol {name!r}")
 
 
 def reduce_to_semicanonical(t: Tower, raw) -> Elem:
     """Fold a sequence of (symbol name, integer exponent) into canonical form."""
-    out = identity(t, t.level)
+    out: Elem = ()
     for name, exp in raw:
         out = mul(t, out, pow_elem(t, resolve_symbol(t, name), exp))
     return canonical_form(t, out)
@@ -714,27 +696,23 @@ def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
     for a form with syllables each rotation p^-1 g p, in prefix order, stands
     for its least twist (`_twist`, Collins' lemma) and c = p v^j.
     """
-    lvl = level_of(core)
-    ckey = ("crep", t._pid[lvl], core)
+    ckey = ("crep", t._pid[level_of(core)], core)
     cache = t._cache("ops")
     if ckey in cache:
         return cache[ckey]
     core = canonical_form(t, core)
-    if lvl and not core.ss:
-        rep, c, sign = class_rep(t, core.hs[0])
-        out = (lift(t, rep, lvl), lift(t, c, lvl), sign)
-    else:
-        cands = []
-        for sign, g in ((1, core), (-1, canonical_form(t, inv(t, core)))):
-            if lvl == 0:
-                cands += [(g[i:] + g[:i], g[:i], sign) for i in range(max(1, len(g)))]
-                continue
-            for p in _prefixes(t, g):
-                rep, j = _twist(t, conj(t, g, p))
-                cands.append((rep, mul(t, p, wrap(_vpow(t, lvl, j))), sign))
-        out = rep, c, sign = min(cands, key=lambda cand: (sort_key(t, cand[0]), cand[2]))
-        # rep = c^-1 g c with g = core^sign, hence core = (c rep c^-1)^sign
-        if not equal(t, mul(t, c, pow_elem(t, rep, sign), inv(t, c)), core):
-            raise CertificateError("class representative does not rebuild the core")
+    lvl = level_of(core)
+    cands = []
+    for sign, g in ((1, core), (-1, canonical_form(t, inv(t, core)))):
+        if lvl == 0:
+            cands += [(g[i:] + g[:i], g[:i], sign) for i in range(max(1, len(g)))]
+            continue
+        for p in _prefixes(t, g):
+            rep, j = _twist(t, conj(t, g, p))
+            cands.append((rep, mul(t, p, _vpow(t, lvl, j)), sign))
+    out = rep, c, sign = min(cands, key=lambda cand: (sort_key(t, cand[0]), cand[2]))
+    # rep = c^-1 g c with g = core^sign, hence core = (c rep c^-1)^sign
+    if not equal(t, mul(t, c, pow_elem(t, rep, sign), inv(t, c)), core):
+        raise CertificateError("class representative does not rebuild the core")
     cache[ckey] = out
     return out

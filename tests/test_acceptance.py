@@ -191,6 +191,43 @@ def test_criterion_5_v3_byte_identity():
     assert hashlib.sha256(json.dumps(texts).encode()).hexdigest() == V3_SEED_DIGEST
 
 
+# sha256 of the lines of pinned_query_lines(), printed by the commit before
+# tower elements were stored at their own level
+PINNED_QUERY_DIGEST = "3be8a5f4840f5d8968da78974834188791a10fc210410eb0c1252f8029a452a0"
+
+
+def pinned_query_lines():
+    """Canonical text and level of both sides, conj status and certificate of
+    100 seeded Q-word pairs from the criterion-6/7/8 generators (25 each of
+    g^al g^be vs g^(al+be), an axiom rewrite, a conjugate, a random pair)."""
+    rng = random.Random(110)
+    pairs = []
+    for _ in range(25):
+        g = random_qword(rng, depth_budget=1)
+        al, be = _rand_fraction(rng), _rand_fraction(rng)
+        pairs.append((f"({g})^({al})({g})^({be})", f"({g})^({al + be})"))
+        w = random_qword(rng)
+        pairs.append((w, _axiom_rewrite(rng, w)))
+        g, x = random_qword(rng), random_qword(rng, depth_budget=1)
+        pairs.append((f"({x})^(-1)({g})({x})", g))
+        pairs.append((random_qword(rng), random_qword(rng)))
+    for a, b in pairs:
+        s = QSession(AB, max_level=8)
+        ea, eb = s.normalize(a), s.normalize(b)
+        status, c = s.q_conjugate(a, b)
+        cert = tw.serialize(s.tower, c) if c is not None else "-"
+        yield "\t".join(
+            [a, b, s.canonical_text(ea), str(s.locate(ea)), s.canonical_text(eb), str(s.locate(eb)), status, cert]
+        )
+
+
+def test_pinned_query_digest():
+    t0 = time.perf_counter()
+    text = "\n".join(pinned_query_lines())
+    ok = hashlib.sha256(text.encode()).hexdigest() == PINNED_QUERY_DIGEST
+    report("pinned-query digest", ok, time.perf_counter() - t0, 5.0)
+
+
 def _rand_fraction(rng, max_den=4, signed=True):
     den = rng.randint(1, max_den)
     num = rng.randint(0, 3 * den)
@@ -292,7 +329,7 @@ def test_criterion_8_conjugacy_certificates():
         status, c = s.q_conjugate(f"({x})^(-1)({g})({x})", g)
         ok &= status == tw.CONJUGATE
         if status == tw.CONJUGATE:
-            cert = tw.serialize(s.tower, s.top(c))
+            cert = tw.serialize(s.tower, c)
             ok &= s.q_equal(f"({cert})^(-1)(({x})^(-1)({g})({x}))({cert})", g)
 
     s = QSession(AB, max_level=4)
@@ -301,7 +338,7 @@ def test_criterion_8_conjugacy_certificates():
 
     # w vs w^-1 in E(F(a,b), ab, 2)
     t_base = tw.Tower(AB)
-    t = t_base.extend_centralizer(tw.from_word(t_base, (1, 2)), 2, name="w")
+    t = t_base.extend_centralizer((1, 2), 2, name="w")
     w = t.root(1)
     status, _ = tw.conjugate_in_tower(t, w, tw.inv(t, w))
     ok &= status == tw.DISTINCT

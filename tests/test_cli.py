@@ -3,6 +3,7 @@ JSON output."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 
 import freeq
 from freeq import cli, tower
+from freeq.qcompletion import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -374,3 +376,69 @@ class TestQword:
         code, out = run(capsys, "qword", "normalize", "(ab)^(3/2)")
         assert code == 0
         assert "canonical: (ab)^(1/2)ab" in out
+
+    @pytest.mark.parametrize(
+        "expr, position",
+        [("a^" + "1" * 5000, 2), ("a^(1/" + "1" * 5000 + ")", 5)],
+        ids=["numerator", "denominator"],
+    )
+    def test_huge_exponent_literal(self, capsys, expr, position):
+        # past Python's int-parsing digit limit: a parse error at the digits
+        code, doc = run_json(capsys, "qword", "normalize", expr)
+        assert code == 3
+        assert doc["error"]["code"] == "parse"
+        assert doc["error"]["message"].endswith(f"at position {position}")
+
+
+def hostile_qwords(rng):
+    """Seeded hostile Q-word text: mutated valid words, nesting around
+    MAX_NESTING, digit runs past the int-parsing limit, stray characters."""
+    valid = ["(ab)^(3/2)", "a^(2/2)", "(ba)^(1/2)", "(b a b^(-1))^(3/4)", "abAB",
+             "((ab)^(1/2)a)^(1/2)", "(ab)^(1/2)b", "b^(-7/4)aaaaa", "1"]
+    stray = "ab()^/-1 23ABxyz$\t\u00e9\x00{}"
+    for _ in range(200):
+        text = list(rng.choice(valid))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                del text[i : i + 1]
+            elif op == 1:
+                text.insert(i, rng.choice(stray))
+            else:
+                text[i:i] = text[i : i + rng.randint(1, 3)]
+        yield "".join(text)
+    for depth in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        yield "(" * depth + "a" + ")" * depth
+        yield "(" * depth + "ab" + ")^2" * depth
+        yield "(" * depth + "ab" + ")^(1/2)" * depth
+    digits = "".join(rng.choice("0123456789") for _ in range(5000))
+    for n in (4300, 4301, 5000):
+        num = "9" + digits[: n - 1]
+        yield "a^" + num
+        yield "a^(-" + num + ")"
+        yield "a^(1/" + num + ")"
+        yield f"(ab)^({num}/{num})"
+        yield "((a)^(1/2))^" + num
+    yield "a" + "1" * 5000
+    yield from ["", " ", "^", "a^", "a^(", "a^(1/0)", "a^(/2)", "a^--1", ")(", "((", "a^1/", "\x00", "é"]
+
+
+class TestQwordFuzz:
+    def test_hostile_input_exits_cleanly(self, capsys):
+        # every input ends in an exit code 0-4, never an exception
+        t0 = time.perf_counter()
+        rng = random.Random(120)
+        count = 0
+        for expr in hostile_qwords(rng):
+            other = rng.choice(["a", "(ab)^(1/2)", expr])
+            for argv in (["normalize", "--", expr], ["equal", "--", expr, other], ["conj", "--", other, expr]):
+                try:
+                    code = cli.run(["--json", "qword", *argv])
+                except Exception as ex:  # noqa: BLE001
+                    pytest.fail(f"{argv!r:.200} raised {ex!r:.200}")
+                capsys.readouterr()
+                assert code in range(5), argv
+                count += 1
+        assert count > 700
+        assert time.perf_counter() - t0 < 10.0

@@ -29,7 +29,7 @@ def base_tower():
 def e2_tower():
     """E(F(a,b), ab, 2): adjoin a square root w of ab."""
     t0 = base_tower()
-    return t0.extend_centralizer(tw.from_word(t0, (1, 2)), 2, name="w")
+    return t0.extend_centralizer((1, 2), 2, name="w")
 
 
 def random_elem(rng, t, n_factors=4, max_exp=2):
@@ -44,9 +44,9 @@ def tower_chain(alphabet):
     """Towers of levels 0..3 over one caches dict: a square root of ab, a
     cube root of that root, then a square root of aB."""
     t0 = Tower(alphabet)
-    t1 = t0.extend_centralizer(tw.from_word(t0, (1, 2)), 2, name="w")
+    t1 = t0.extend_centralizer((1, 2), 2, name="w")
     t2 = t1.extend_centralizer(t1.root(1), 3, name="u")
-    t3 = t2.extend_centralizer(tw.from_word(t2, (1, -2)), 2, name="x")
+    t3 = t2.extend_centralizer((1, -2), 2, name="x")
     return [t0, t1, t2, t3]
 
 
@@ -57,7 +57,7 @@ def oracle_towers():
     syllables at its own level (levels 1 and 2), and a mixed chain."""
 
     def word(text):
-        return lambda t: tw.from_word(t, AB.parse(text))
+        return lambda t: AB.parse(text)
 
     def root(lvl, sign=1):
         return lambda t: t.root(lvl) if sign > 0 else tw.inv(t, t.root(lvl))
@@ -88,7 +88,7 @@ def coset_cases(towers):
         t = towers[lvl]
         vs = [t.root(lvl), tw.inv(t, t.root(lvl))]
         if lvl < 3:
-            vs.append(tw.lift(top, top.step_at(lvl + 1).v, lvl))
+            vs.append(top.step_at(lvl + 1).v)
         yield t, vs
 
 
@@ -154,7 +154,7 @@ def restart_normalize(t, lvl, hs, ss):
             hs[i], carry = tw.coset_rep(t, h, v)
         else:
             hs[i] = h
-    return tw.Form(lvl, tuple(hs), tuple(ss))
+    return tw.Form(lvl, tuple(hs), tuple(ss)) if ss else hs[0]
 
 
 def window_twists(t, g, k_bound):
@@ -165,7 +165,7 @@ def window_twists(t, g, k_bound):
     v = t.step_at(lvl).v
     for p in tw._prefixes(t, g) + [g]:
         for j in sorted(range(-k_bound, k_bound + 1), key=abs):
-            yield tw.mul(t, p, tw.lift(t, tw.pow_elem(t, v, j), lvl))
+            yield tw.mul(t, p, tw.pow_elem(t, v, j))
 
 
 def window_class_rep(t, core, k_bound=None):
@@ -187,7 +187,6 @@ def window_conjugate(t, f1, f2, k_bound=None):
     """conjugate_in_tower with the twist-window search, as it ran before the
     exact twist: the oracle for it.  Exhausting the window answers
     absent-within-bound."""
-    lvl = tw.level_of(f1)
     if tw.exponent_vector(t, f1) != tw.exponent_vector(t, f2):
         return tw.DISTINCT, None
     x1, c1 = tw.cyclic_decompose(t, f1)
@@ -198,15 +197,13 @@ def window_conjugate(t, f1, f2, k_bound=None):
     def finish(d):
         return tw.CONJUGATE, tw.mul(t, x1, d, tw.inv(t, x2))
 
-    if lvl == 0:
+    if tw.level_of(c1) != tw.level_of(c2):
+        return tw.DISTINCT, None
+    if tw.level_of(c1) == 0:
         d = words.conjugacy_witness(c1, c2)
         return finish(d) if d is not None else (tw.DISTINCT, None)
-    n1 = c1.syllable_count if isinstance(c1, tw.Form) else 0
-    n2 = c2.syllable_count if isinstance(c2, tw.Form) else 0
-    if n1 == 0 and n2 == 0:
-        status, d = window_conjugate(t, c1.hs[0], c2.hs[0], k_bound)
-        return finish(tw.wrap(d)) if status == tw.CONJUGATE else (status, None)
-    if n1 != n2:
+    n2 = c2.syllable_count
+    if c1.syllable_count != n2:
         return tw.DISTINCT, None
     if tuple(c1.ss) not in [tuple(c2.ss[i:] + c2.ss[:i]) for i in range(n2)]:
         return tw.DISTINCT, None
@@ -220,6 +217,8 @@ def window_extract_root(t, c):
     """extract_root_elem's seam search for forms with syllables, as it ran
     before the exact twist: a period slice shifted by v^j, |j| within a
     window, whose d-th power is c."""
+    if not isinstance(c, tw.Form):
+        return c, 1
     lvl = c.level
     n = c.syllable_count
     v = t.step_at(lvl).v
@@ -231,7 +230,7 @@ def window_extract_root(t, c):
         for j in sorted(range(-window, window + 1), key=abs):
             hs = list(c.hs[:p]) + [tw.mul(t, c.hs[p], tw.pow_elem(t, v, j))]
             cand = tw._normalize(t, lvl, hs, list(c.ss[:p]))
-            if cand.syllable_count == p and tw.pow_elem(t, cand, d) == c:
+            if isinstance(cand, tw.Form) and cand.syllable_count == p and tw.pow_elem(t, cand, d) == c:
                 return cand, d
     return c, 1
 
@@ -242,7 +241,7 @@ def conjugate_to_root_power(t, v):
     (powers up to length |v| + 2, twist window 4)?"""
     target = tw.elem_len(t, v)
     for i in range(t.level, 0, -1):
-        r = tw.lift(t, t.root(i), t.level)
+        r = t.root(i)
         for kk in range(2, t.step_at(i).m * (target + 2) + 1):
             pos = tw.pow_elem(t, r, kk)
             if tw.elem_len(t, pos) > target + 2:
@@ -272,33 +271,33 @@ class TestExtend:
 
     def test_m1_collapses_to_alias(self):
         t0 = base_tower()
-        t = t0.extend_centralizer(tw.from_word(t0, (1,)), 1, name="wa")
+        t = t0.extend_centralizer((1,), 1, name="wa")
         assert t.level == 0
-        assert dict(t.aliases)["wa"] == tw.from_word(t0, (1,))
+        assert dict(t.aliases)["wa"] == (1,)
 
     def test_rejects_proper_power(self):
         t0 = base_tower()
         with pytest.raises(ValueError):
-            t0.extend_centralizer(tw.from_word(t0, (1, 2, 1, 2)), 2)
+            t0.extend_centralizer((1, 2, 1, 2), 2)
 
     def test_rejects_repeated_class(self):
         t = e2_tower()
         with pytest.raises(ValueError):
-            t.extend_centralizer(tw.from_word(t, (1, 2)), 3)
+            t.extend_centralizer((1, 2), 3)
 
     def test_chain_extension_allowed(self):
         # adjoining a root of the previous root is the legal chain pattern
         t = e2_tower()
         t2 = t.extend_centralizer(t.root(1), 3, name="w6")
         w6 = t2.root(2)
-        assert tw.equal(t2, tw.pow_elem(t2, w6, 6), tw.from_word(t2, (1, 2)))
+        assert tw.equal(t2, tw.pow_elem(t2, w6, 6), (1, 2))
 
 
 class TestRelation:
     def test_w_squared_is_v(self):
         t = e2_tower()
         w = t.root(1)
-        assert tw.equal(t, tw.mul(t, w, w), tw.from_word(t, (1, 2)))
+        assert tw.equal(t, tw.mul(t, w, w), (1, 2))
 
     def test_relation_exhaustive_small(self):
         for v in words.reduced_words(AB, 3):
@@ -308,14 +307,14 @@ class TestRelation:
                 continue
             for m in (2, 3, 4):
                 t0 = base_tower()
-                t = t0.extend_centralizer(tw.from_word(t0, v), m)
+                t = t0.extend_centralizer(v, m)
                 r = t.root(1)
-                assert tw.equal(t, tw.pow_elem(t, r, m), tw.from_word(t, v)), (v, m)
+                assert tw.equal(t, tw.pow_elem(t, r, m), v), (v, m)
 
     def test_w_commutes_with_v(self):
         t = e2_tower()
         w = t.root(1)
-        v = tw.from_word(t, (1, 2))
+        v = (1, 2)
         assert tw.equal(t, tw.mul(t, w, v, tw.inv(t, w)), v)
 
 
@@ -329,14 +328,14 @@ class TestSemicanonical:
     def test_ww_collapses(self):
         t = e2_tower()
         f = tw.reduce_to_semicanonical(t, [("w", 2)])
-        assert f == tw.canonical_form(t, tw.from_word(t, (1, 2)))
+        assert f == (1, 2)
 
     def test_invariants_random(self):
         rng = random.Random(41)
         t = e2_tower()
         for _ in range(200):
             f = random_elem(rng, t)
-            if not isinstance(f, tw.Form) or not f.ss:
+            if not isinstance(f, tw.Form):
                 continue
             for s in f.ss:
                 assert 0 < s < 1 and s.denominator <= 2
@@ -408,7 +407,7 @@ class TestCosetRep:
         # bb for bb and bA for bA: two reps for one coset
         t = oracle_towers()[0][3]
         x = t.root(3)
-        bb, ba = (tw.from_word(t, AB.parse(w)) for w in ("bb", "bA"))
+        bb, ba = (AB.parse(w) for w in ("bb", "bA"))
         assert tw.coset_rep(t, bb, x) == (ba, -12)
         assert tw.coset_rep(t, ba, x) == (ba, 0)
         assert window_coset_rep(t, bb, x) == (bb, 0)
@@ -460,18 +459,15 @@ class TestCanonical:
         t0 = base_tower()
         t = e2_tower()
         for _ in range(100):
-            w = words.free_reduce(
-                rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 8))
-            )
-            lifted = tw.lift(t, w, 1)
-            assert tw.serialize(t, lifted) == AB.format(w)
+            w = tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 8)))
+            assert tw.canonical_form(t, w) == tw.canonical_form(t0, w) == words.free_reduce(w)
+            assert tw.serialize(t, tw.canonical_form(t, w)) == AB.format(words.free_reduce(w))
 
     def test_commutation_closure(self):
         # forms differing by v^s v^t <-> v^t v^s swaps are equal
         rng = random.Random(46)
         t0 = base_tower()
-        t = t0.extend_centralizer(tw.from_word(t0, (1, 2)), 4, name="w")
-        v = tw.from_word(t, (1, 2))
+        t = t0.extend_centralizer((1, 2), 4, name="w")
         w = t.root(1)
         for _ in range(200):
             i, j = rng.randint(1, 3), rng.randint(1, 3)
@@ -530,7 +526,7 @@ class TestConjugacy:
     def test_simple_conjugate(self):
         t = e2_tower()
         w = t.root(1)
-        a = tw.from_word(t, (1,))
+        a = (1,)
         g = tw.mul(t, tw.inv(t, a), w, a)
         status, c = tw.conjugate_in_tower(t, g, w)
         assert status == tw.CONJUGATE
@@ -538,17 +534,15 @@ class TestConjugacy:
 
     def test_base_distinct(self):
         t = e2_tower()
-        status, _ = tw.conjugate_in_tower(
-            t, tw.from_word(t, (1,)), tw.from_word(t, (2,))
-        )
+        status, _ = tw.conjugate_in_tower(t, (1,), (2,))
         assert status == tw.DISTINCT
 
     def test_rotated_root_conjugate(self):
         # (ba)^{1/2} is conjugate to (ab)^{1/2} by a
         t0 = base_tower()
-        t = t0.extend_centralizer(tw.from_word(t0, (1, 2)), 2, name="w")
+        t = t0.extend_centralizer((1, 2), 2, name="w")
         w = t.root(1)
-        a = tw.from_word(t, (1,))
+        a = (1,)
         other = tw.mul(t, tw.inv(t, a), w, a)
         status, c = tw.conjugate_in_tower(t, other, w)
         assert status == tw.CONJUGATE
@@ -579,7 +573,7 @@ def property_towers():
     root of the word)."""
 
     def word(text):
-        return lambda t: tw.from_word(t, AB.parse(text))
+        return lambda t: AB.parse(text)
 
     def root(lvl, sign=1):
         return lambda t: t.root(lvl) if sign > 0 else tw.inv(t, t.root(lvl))
@@ -611,7 +605,7 @@ def tower_elem(which, lvl, raw):
 
 def syllable_core(t, e):
     _, core = tw.cyclic_decompose(t, e)
-    return core if isinstance(core, tw.Form) and core.ss else None
+    return core if tw.level_of(core) == t.level else None
 
 
 class TestTwistProperties:
@@ -623,7 +617,7 @@ class TestTwistProperties:
         t, e = tower_elem(which, lvl, raw)
         core = syllable_core(t, e)
         assume(core is not None)
-        v = tw.lift(t, t.step_at(lvl).v, lvl)
+        v = t.step_at(lvl).v
         rep, c, sign = tw.class_rep(t, core)
         twisted = tw.conj(t, core, tw.pow_elem(t, v, j))
         assert tw.class_rep(t, twisted)[0] == rep
@@ -713,7 +707,7 @@ class TestTwistOracles:
             for t in towers[1:4]:
                 for kk in (2, 3):
                     for i in range(1, t.level + 1):
-                        r = tw.lift(t, t.root(i), t.level)
+                        r = t.root(i)
                         x = random_elem(rng, t, n_factors=2)
                         v = tw.conj(t, tw.pow_elem(t, r, kk), x)
                         _, c = tw.cyclic_decompose(t, v)
@@ -731,7 +725,7 @@ class TestTwistOracles:
         e = s.normalize("b^(-7/4)aaaaa")
         t = s.tower
         _, core = tw.cyclic_decompose(t, e)
-        v = tw.lift(t, t.step_at(core.level).v, core.level)
+        v = t.step_at(core.level).v
         rep = tw.class_rep(t, core)[0]
         for j in range(-12, 13):
             assert tw.class_rep(t, tw.conj(t, core, tw.pow_elem(t, v, j)))[0] == rep
@@ -749,7 +743,7 @@ class TestDeepChainTwist:
         t = s.tower
         _, core = tw.cyclic_decompose(t, e)
         assert tw._twist(t, core)[1] == 102
-        v = tw.lift(t, t.step_at(core.level).v, core.level)
+        v = t.step_at(core.level).v
         rep = tw.class_rep(t, core)[0]
         for j in (1, 6, 102, 719, -720, 2023):
             assert tw.class_rep(t, tw.conj(t, core, tw.pow_elem(t, v, j)))[0] == rep
@@ -758,7 +752,7 @@ class TestDeepChainTwist:
         "queries, period",
         [
             (["(ab)^(1/5)"], 24),
-            # the chain over ab is lifted through the levels of a and b
+            # the chain over ab is extended past the levels of a and b
             (["(ab)^(1/2)", "a^(1/2)", "(ab)^(1/3)", "b^(1/2)", "(ab)^(1/4)"], 6),
         ],
     )
@@ -769,7 +763,7 @@ class TestDeepChainTwist:
         for q in queries:
             s.normalize(q)
         t = s.tower
-        v = tw.lift(t, t.step_at(t.level).v, t.level)
+        v = t.step_at(t.level).v
         symbols = list(t.base.names) + [step.name for step in t.steps]
         rng = random.Random(81)
         checked = 0
@@ -786,6 +780,43 @@ class TestDeepChainTwist:
                 assert twists[j] == twist
                 assert tw.sort_key(t, twist) == min(tw.sort_key(t, x) for x in twists.values())
                 checked += 1
+
+
+class TestLevelContract:
+    """Every element is stored at the level of its own syllables, and the
+    operations take operands of different levels."""
+
+    def test_extract_root_walks_to_top(self):
+        # ab = w^2 and w = u^3: at each level the root of ab is the newest root
+        # of its chain, and the unrelated level 3 (x^2 = aB) leaves it alone
+        expected = [("ab", 1), ("(ab)^(1/2)", 2), ("((ab)^(1/2))^(1/3)", 6), ("((ab)^(1/2))^(1/3)", 6)]
+        for t, want in zip(tower_chain(AB), expected):
+            root, k = tw.extract_root_elem(t, (1, 2))
+            assert (tw.serialize(t, root), k) == want
+
+    def test_mixed_levels(self):
+        t = tower_chain(AB)[3]
+        u = t.root(2)
+        assert tw.mul(t, (1,), u) == tw.Form(2, ((1,), ()), (Fraction(1, 3),))
+        # u^-1 ba u has syllables at level 2 and the core ab at level 0
+        f = tw.conj(t, (1, 2), tw.mul(t, (1,), u))
+        assert tw.level_of(f) == 2
+        status, d = tw.conjugate_in_tower(t, (1, 2), f)
+        assert status == tw.CONJUGATE and tw.conj(t, (1, 2), d) == f
+        # u a u^-1 b has ab's exponent vector, but its core lives at level 2
+        g = tw.mul(t, u, (1,), tw.inv(t, u), (2,))
+        assert tw.conjugate_in_tower(t, (1, 2), g) == (tw.DISTINCT, None)
+
+    def test_cancelled_syllables_leave_the_lower_element(self):
+        t = tower_chain(AB)[3]
+        w = t.root(1)
+        assert tw.mul(t, w, tw.inv(t, w)) == ()
+        assert tw.pow_elem(t, t.root(2), 3) == w
+        assert tw.pow_elem(t, t.root(2), 6) == (1, 2)
+
+    def test_form_needs_a_syllable(self):
+        with pytest.raises(ValueError):
+            tw.Form(1, ((1,),), ())
 
 
 class TestCacheKeys:
@@ -812,7 +843,7 @@ class TestCacheKeys:
     def test_prefix_ids_interned(self):
         caches = {}
         t1, u1 = (
-            Tower(AB, caches=caches).extend_centralizer(tw.from_word(Tower(AB), (1, 2)), 2, name="w")
+            Tower(AB, caches=caches).extend_centralizer((1, 2), 2, name="w")
             for _ in range(2)
         )
         assert t1 is not u1 and t1._pid == u1._pid
@@ -822,13 +853,13 @@ class TestCacheKeys:
         assert len(caches["ops"]) == size  # u1 hits t1's entries
         base = Tower(AB, caches=caches)
         others = [
-            base.extend_centralizer(tw.from_word(base, (1, 2)), 3, name="w"),
-            base.extend_centralizer(tw.from_word(base, (1, 2)), 2, name="y"),
-            base.extend_centralizer(tw.from_word(base, (1, -2)), 2, name="w"),
+            base.extend_centralizer((1, 2), 3, name="w"),
+            base.extend_centralizer((1, 2), 2, name="y"),
+            base.extend_centralizer((1, -2), 2, name="w"),
         ]
         assert len({t._pid[1] for t in [t1] + others}) == 4
         # one step over different parents
-        v = tw.from_word(t1, (1, -2))
+        v = (1, -2)
         tops = [t.extend_centralizer(v, 2, name="z") for t in (t1, others[1])]
         assert tops[0].steps[1] == tops[1].steps[1]
         assert tops[0]._pid[2] != tops[1]._pid[2]
@@ -845,7 +876,7 @@ mul = words.mul
 if __debug__:
     sys.exit("expected python -O")
 t0 = tw.Tower(Alphabet(("a", "b")))
-t1 = t0.extend_centralizer(tw.from_word(t0, (1, 2)), 2, name="w")
+t1 = t0.extend_centralizer((1, 2), 2, name="w")
 
 
 def probe(name, fn):
@@ -903,11 +934,11 @@ class TestSerialization:
         w = t.root(1)
         assert tw.serialize(t, w) == "(ab)^(1/2)"
         assert tw.serialize(t, tw.pow_elem(t, w, 3)) == "(ab)^(1/2)ab"
-        assert tw.serialize(t, tw.identity(t, 1)) == "1"
+        assert tw.serialize(t, ()) == "1"
 
     def test_elem_len(self):
         t = e2_tower()
         w = t.root(1)
         assert tw.elem_len(t, w) == 1
         assert tw.elem_len(t, tw.pow_elem(t, w, 3)) == 3
-        assert tw.elem_len(t, tw.from_word(t, (1, 2))) == 2
+        assert tw.elem_len(t, (1, 2)) == 2
