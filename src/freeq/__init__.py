@@ -36,10 +36,8 @@ from .constructions import (
     HNNData,
     IsoError,
     Verdict,
-    amalgam_from_json,
     check_amalgam,
     check_separated_hnn,
-    hnn_from_json,
     verdict_to_json,
     verify_iso,
 )

@@ -11,11 +11,10 @@ runs); rationals are always printed as exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
-
-import jsonschema
 
 from . import constructions, qcompletion, stallings, tower, words
 from .qcompletion import QSession, parse_qword
@@ -37,104 +36,8 @@ class InputError(Exception):
         self.code = code
 
 
-CONSTRUCTION_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": ["hnn", "amalgam", "tower"]}},
-    "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": "hnn"}}},
-            "then": {
-                "required": ["base", "u_generators", "v_generators"],
-                "properties": {
-                    "base": {"$ref": "#/$defs/presentation"},
-                    "u_generators": {"$ref": "#/$defs/wordlist"},
-                    "v_generators": {"$ref": "#/$defs/wordlist"},
-                    "iso": {"$ref": "#/$defs/pairs"},
-                },
-            },
-        },
-        {
-            "if": {"properties": {"kind": {"const": "amalgam"}}},
-            "then": {
-                "required": ["left", "right", "u_generators", "v_generators"],
-                "properties": {
-                    "left": {"$ref": "#/$defs/presentation"},
-                    "right": {"$ref": "#/$defs/presentation"},
-                    "u_generators": {"$ref": "#/$defs/wordlist"},
-                    "v_generators": {"$ref": "#/$defs/wordlist"},
-                    "iso": {"$ref": "#/$defs/pairs"},
-                },
-            },
-        },
-        {
-            "if": {"properties": {"kind": {"const": "tower"}}},
-            "then": {
-                "required": ["base", "steps"],
-                "properties": {
-                    "base": {"$ref": "#/$defs/presentation"},
-                    "steps": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["v", "m"],
-                            "properties": {
-                                "v": {"type": "string"},
-                                "m": {"type": "integer", "minimum": 1},
-                                "name": {"type": "string"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    ],
-    "$defs": {
-        "presentation": {
-            "type": "object",
-            "required": ["generators"],
-            "properties": {
-                "generators": {
-                    "type": "array",
-                    "items": {"type": "string", "pattern": "^[a-z]$"},
-                    "minItems": 1,
-                },
-                "relators": {"$ref": "#/$defs/wordlist"},
-            },
-        },
-        "wordlist": {"type": "array", "items": {"type": "string"}},
-        "pairs": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "string"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-}
-
-
 def _rat(x) -> str:
     return str(Fraction(x))
-
-
-def _load_construction(path: str, kinds) -> dict:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as ex:
-        raise InputError("io", f"cannot read {path}: {ex}")
-    except json.JSONDecodeError as ex:
-        raise InputError("parse", f"{path}: {ex}")
-    try:
-        jsonschema.validate(obj, CONSTRUCTION_SCHEMA)
-    except jsonschema.ValidationError as ex:
-        raise InputError("schema", f"{path}: {ex.message}")
-    if obj["kind"] not in kinds:
-        raise InputError("schema", f"{path}: expected kind in {sorted(kinds)}, got {obj['kind']!r}")
-    return obj
 
 
 def _alphabet(text: str) -> Alphabet:
@@ -268,6 +171,126 @@ def _cmd_subgroup_qc_const(args, out: _Output) -> int:
     return EXIT_OK
 
 
+# -- construction files ------------------------------------------------------
+#
+# A construction file is one JSON object whose "kind" names its reader.  A
+# reader checks the JSON type of each field as it reads it (error code
+# `schema`, naming the field by a JSON pointer after the file name) before
+# it parses a word or builds a group, whose ValueError is `invalid-input`.
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, typ, at: str):
+    if type(value) is not typ:  # so a bool is no integer and 2.0 is no integer
+        raise InputError("schema", f"{at} must be {_JSON_TYPES[typ]}")
+    return value
+
+
+def _get(obj: dict, key: str, at: str, typ=str, default=None):
+    """obj[key] of JSON type typ; a missing key gives `default`, if there is one."""
+    at = f"{at}/{key}"
+    if key not in obj:
+        if default is None:
+            raise InputError("schema", f"{at} is required")
+        return default
+    return _typed(obj[key], typ, at)
+
+
+def _strings(obj: dict, key: str, at: str, default=None) -> list:
+    items = _get(obj, key, at, list, default)
+    return [_typed(w, str, f"{at}/{key}/{i}") for i, w in enumerate(items)]
+
+
+def _presentation(obj: dict, key: str, at: str):
+    """(generators, relator texts) of a presentation field."""
+    p = _get(obj, key, at, dict)
+    at = f"{at}/{key}"
+    gens = _strings(p, "generators", at)
+    if not gens:
+        raise InputError("schema", f"{at}/generators must not be empty")
+    for i, g in enumerate(gens):
+        if not (len(g) == 1 and "a" <= g <= "z"):
+            raise InputError("schema", f"{at}/generators/{i} must be one letter a-z")
+    return gens, _strings(p, "relators", at, [])
+
+
+def _iso(obj: dict, at: str) -> list:
+    pairs = _get(obj, "iso", at, list, [])
+    for i, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2 or any(type(w) is not str for w in pair):
+            raise InputError("schema", f"{at}/iso/{i} must be an array of two strings")
+    return pairs
+
+
+def _build(gens, relators) -> Presentation:
+    a = Alphabet(tuple(gens))
+    return Presentation(a, tuple(map(a.parse, relators)))
+
+
+def _read_hnn(obj: dict, at: str) -> constructions.HNNData:
+    gens, relators = _presentation(obj, "base", at)
+    u, v, iso = _strings(obj, "u_generators", at), _strings(obj, "v_generators", at), _iso(obj, at)
+    base = _build(gens, relators)
+    a = base.alphabet
+    iso = tuple((a.parse(x), a.parse(y)) for x, y in iso)
+    return constructions.HNNData(base, tuple(map(a.parse, u)), tuple(map(a.parse, v)), iso)
+
+
+def _read_amalgam(obj: dict, at: str) -> constructions.AmalgamData:
+    left, right = _presentation(obj, "left", at), _presentation(obj, "right", at)
+    u, v, iso = _strings(obj, "u_generators", at), _strings(obj, "v_generators", at), _iso(obj, at)
+    left, right = _build(*left), _build(*right)
+    la, ra = left.alphabet, right.alphabet
+    iso = tuple((la.parse(x), ra.parse(y)) for x, y in iso)
+    return constructions.AmalgamData(left, right, tuple(map(la.parse, u)), tuple(map(ra.parse, v)), iso)
+
+
+def _read_tower(obj: dict, at: str) -> Tower:
+    gens, relators = _presentation(obj, "base", at)
+    steps = []
+    for i, step in enumerate(_get(obj, "steps", at, list)):
+        sat = f"{at}/steps/{i}"
+        step = _typed(step, dict, sat)
+        v, m = _get(step, "v", sat), _get(step, "m", sat, int)
+        name = _get(step, "name", sat) if "name" in step else None
+        if m < 1:
+            raise InputError("schema", f"{sat}/m must be at least 1")
+        steps.append((v, m, name))
+    a = Alphabet(tuple(gens))
+    if relators:
+        raise InputError("invalid-input", "tower base must be a free presentation")
+    t = Tower(a)
+    for i, (v, m, name) in enumerate(steps):
+        session = QSession(a)
+        session.tower = t
+        try:
+            t = session.tower.extend_centralizer(session.normalize(v), m, name=name)
+        except ValueError as ex:
+            raise InputError("invalid-input", f"step {i}: {ex}")
+    return t
+
+
+_READERS = {"hnn": _read_hnn, "amalgam": _read_amalgam, "tower": _read_tower}
+
+
+def _read_construction(path: str, kind: str):
+    """The HNNData, AmalgamData or Tower that a file of the given kind describes."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as ex:
+        raise InputError("io", f"cannot read {path}: {ex}")
+    except (ValueError, RecursionError) as ex:  # bad JSON or text encoding, deep nesting
+        raise InputError("parse", f"{path}: {ex}")
+    if type(obj) is not dict or obj.get("kind") != kind:
+        raise InputError("schema", f"{path}: expected a JSON object of kind {kind!r}")
+    try:
+        return _READERS[kind](obj, f"{path}#")
+    except ValueError as ex:
+        raise InputError("invalid-input", str(ex))
+
+
 # -- constructions -----------------------------------------------------------
 
 
@@ -279,18 +302,12 @@ def _verdict_exit(v: constructions.Verdict) -> int:
     return EXIT_ABSENT
 
 
-_CHECKS = {
-    "hnn": (constructions.hnn_from_json, constructions.check_separated_hnn),
-    "amalgam": (constructions.amalgam_from_json, constructions.check_amalgam),
-}
-
-
 def _cmd_check(args, out: _Output) -> int:
-    obj = _load_construction(args.file, {args.kind})
-    from_json, check = _CHECKS[args.kind]
+    data = _read_construction(args.file, args.kind)
+    check = constructions.check_separated_hnn if args.kind == "hnn" else constructions.check_amalgam
     try:
-        verdict = check(from_json(obj))
-    except (WordSyntaxError, constructions.IsoError, ValueError) as ex:
+        verdict = check(data)
+    except ValueError as ex:
         raise InputError("invalid-input", str(ex))
     for key, value in constructions.verdict_to_json(verdict).items():
         out.put(key, value)
@@ -300,25 +317,8 @@ def _cmd_check(args, out: _Output) -> int:
 # -- tower -------------------------------------------------------------------
 
 
-def _tower_from_json(obj) -> Tower:
-    a = Alphabet(tuple(obj["base"]["generators"]))
-    if obj["base"].get("relators"):
-        raise InputError("invalid-input", "tower base must be a free presentation")
-    t = Tower(a)
-    for i, step in enumerate(obj["steps"]):
-        session = QSession(a)
-        session.tower = t
-        try:
-            v = session.normalize(step["v"])
-            t = session.tower.extend_centralizer(v, step["m"], name=step.get("name"))
-        except (WordSyntaxError, ValueError) as ex:
-            raise InputError("invalid-input", f"step {i}: {ex}")
-    return t
-
-
 def _cmd_tower_show(args, out: _Output) -> int:
-    obj = _load_construction(args.file, {"tower"})
-    t = _tower_from_json(obj)
+    t = _read_construction(args.file, "tower")
     out.put("base", list(t.base.names))
     out.put("level", t.level)
     steps = []
@@ -401,6 +401,7 @@ def _cmd_qword_conj(args, out: _Output) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache  # built on the first run, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeq",
@@ -502,8 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     out = _Output(args.json)
     try:
         code = args.func(args, out)

@@ -8,7 +8,7 @@ machine-checked witness (a commuting pair or a Baumslag-Solitar relation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from . import homs, stallings
 from .stallings import CoreGraph, build_core, express, free_basis
@@ -242,44 +242,6 @@ def check_amalgam(data: AmalgamData) -> Verdict:
         witness = _amalgam_witness_pair(data, gU, csU, csV)
         return Verdict(OUTCOME_NOT_HYPERBOLIC, "Corollary 2", witness=witness, details=details)
     return Verdict(OUTCOME_INCONCLUSIVE, "Theorem 2", details=details)
-
-
-# ---------------------------------------------------------------------------
-# JSON construction files
-# ---------------------------------------------------------------------------
-
-
-def _presentation_from_json(obj) -> Presentation:
-    alphabet = Alphabet(tuple(obj["generators"]))
-    relators = tuple(alphabet.parse(r) for r in obj.get("relators", []))
-    return Presentation(alphabet, relators)
-
-
-def hnn_from_json(obj) -> HNNData:
-    base = _presentation_from_json(obj["base"])
-    a = base.alphabet
-    iso = tuple((a.parse(u), a.parse(v)) for u, v in obj.get("iso", []))
-    return HNNData(
-        base=base,
-        u_generators=tuple(a.parse(w) for w in obj["u_generators"]),
-        v_generators=tuple(a.parse(w) for w in obj["v_generators"]),
-        iso=iso,
-    )
-
-
-def amalgam_from_json(obj) -> AmalgamData:
-    left = _presentation_from_json(obj["left"])
-    right = _presentation_from_json(obj["right"])
-    iso = tuple(
-        (left.alphabet.parse(u), right.alphabet.parse(v)) for u, v in obj.get("iso", [])
-    )
-    return AmalgamData(
-        left=left,
-        right=right,
-        u_generators=tuple(left.alphabet.parse(w) for w in obj["u_generators"]),
-        v_generators=tuple(right.alphabet.parse(w) for w in obj["v_generators"]),
-        iso=iso,
-    )
 
 
 def verdict_to_json(v: Verdict) -> dict:

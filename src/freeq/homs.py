@@ -29,37 +29,57 @@ def nielsen_invert(images: Sequence[Abstract]) -> Optional[List[Abstract]]:
     """Given d_i in F_k over abstract letters, return expressions of the k basis
     letters as words in symbols g_1..g_k with g_i := d_i, or None if (d_i) is
     not a free basis of F_k.
+
+    A labelled Stallings fold (Kapovich-Myasnikov 2002).  The petals d_i at
+    vertex 0 carry labels in F(g): g_i on the last edge of petal i, 1
+    elsewhere.  Each edge u -x-> w labelled l keeps l(d) = p(u) x p(w)^-1
+    for some vertex words p with p(0) = 1.  Folding u -x-> w1 and u -x-> w2
+    (labels l1, l2) first gauges w2 by c = l1^-1 l2: edges leaving w2 get
+    c l, edges entering it l c^-1, so both edges read l1 and w2 merges into
+    w1.  The d_i generate F_k, hence (Hopfian) are a basis, iff the folded
+    graph is the rose; its loop x_j then reads x_j's expression.
     """
     k = len(images)
-    d = [tuple(w) for w in images]
-    e: List[Abstract] = [((i + 1),) for i in range(k)]
-    if any(not w for w in d):
+    if any(not w for w in images):
         return None
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                for sj in (1, -1):
-                    dj = d[j] if sj > 0 else inverse(d[j])
-                    ej = e[j] if sj > 0 else inverse(e[j])
-                    for left in (False, True):
-                        cand = mul(dj, d[i]) if left else mul(d[i], dj)
-                        if len(cand) < len(d[i]):
-                            d[i] = cand
-                            e[i] = mul(ej, e[i]) if left else mul(e[i], ej)
-                            if not d[i]:
-                                return None
-                            changed = True
-    if sorted(abs(w[0]) for w in d) != list(range(1, k + 1)) or any(len(w) != 1 for w in d):
+    adj: List[dict] = [{}]  # vertex -> {signed letter: (end vertex, label)}
+    gauge: dict = {}  # merged vertex -> (vertex it merged into, its gauge c)
+    queue = []
+
+    def find(v):
+        c: Abstract = ()
+        while v in gauge:
+            v, g = gauge[v]
+            c = mul(g, c)
+        return v, c
+
+    def attach(u, x, w, label):
+        old = adj[u].setdefault(x, (w, label))
+        if old != (w, label):
+            queue.append((old, (w, label)))
+
+    for i, d in enumerate(images):
+        path = [0, *range(len(adj), len(adj) + len(d) - 1), 0]
+        adj.extend({} for _ in d[1:])
+        for j, x in enumerate(d):
+            label = (i + 1,) if j == len(d) - 1 else ()
+            attach(path[j], x, path[j + 1], label)
+            attach(path[j + 1], -x, path[j], inverse(label))
+    while queue:
+        ((w1, l1), (w2, l2)) = queue.pop()
+        (w1, c1), (w2, c2) = find(w1), find(w2)
+        if w1 == w2:
+            continue
+        if w2 == 0:
+            w1, l1, c1, w2, l2, c2 = w2, l2, c2, w1, l1, c1
+        c = mul(c1, inverse(l1), l2, inverse(c2))
+        gauge[w2] = (w1, c)
+        for x, (w, label) in adj[w2].items():
+            attach(w1, x, w, mul(c, label))
+        adj[w2] = {}
+    if len(gauge) != len(adj) - 1 or sorted(adj[0]) != [*range(-k, 0), *range(1, k + 1)]:
         return None
-    basis_expr: List[Abstract] = [()] * k
-    for i, w in enumerate(d):
-        letter = w[0]
-        basis_expr[abs(letter) - 1] = e[i] if letter > 0 else inverse(e[i])
-    return basis_expr
+    return [mul(label, inverse(find(w)[1])) for w, label in (adj[0][j] for j in range(1, k + 1))]
 
 
 class NotASubgroupElement(ValueError):

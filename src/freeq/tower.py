@@ -272,6 +272,13 @@ def inv(t: Tower, e: Elem) -> Elem:
 
 
 def pow_elem(t: Tower, e: Elem, n: int) -> Elem:
+    if isinstance(e, Form) and e.hs == ((), ()):
+        # e = r^j for the root r of its level, r^m = v: e^n = v^q r^s with
+        # (q, s) = divmod(jn, m), so the cap counts v^q, not |n| letters
+        step = t.step_at(e.level)
+        q, s = divmod(int(e.ss[0] * step.m) * n, step.m)
+        vq = pow_elem(t, step.v, q)
+        return mul(t, vq, Form(e.level, ((), ()), (Fraction(s, step.m),))) if s else vq
     if n < 0:
         e, n = inv(t, e), -n
     if n > 1 and n * elem_len(t, e) > MAX_POWER_LENGTH:

@@ -93,6 +93,26 @@ class TestWord:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"length": 0, "reduced": "1"}
 
+    def test_import_loads_only_the_standard_library(self):
+        # importing the CLI in a fresh interpreter loads no third-party module
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(freeq.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import json, sys; before = set(sys.modules); import freeq.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert "freeq.cli" in loaded
+        foreign = [m for m in loaded if m.split(".")[0] not in {"freeq", *sys.stdlib_module_names}]
+        assert foreign == []
+
+    def test_parser_built_once(self, capsys):
+        run_json(capsys, "word", "reduce", "ab")
+        assert cli._build_parser() is cli._build_parser()
+
     def test_conj_positive(self, capsys):
         code, doc = run_json(capsys, "word", "conj", "Bab", "a")
         assert code == 0
@@ -189,6 +209,174 @@ class TestConstructions:
         _, out1 = run(capsys, "--json", "check-hnn", hnn_file)
         _, out2 = run(capsys, "--json", "check-hnn", hnn_file)
         assert out1 == out2
+
+
+HNN = {"kind": "hnn", "base": {"generators": ["a", "b"]}, "u_generators": ["aa"], "v_generators": ["bb"]}
+AMALGAM = {"kind": "amalgam", "left": {"generators": ["x"]}, "right": {"generators": ["y"]},
+           "u_generators": ["xx"], "v_generators": ["yyy"], "iso": [["xx", "yyy"]]}
+TOWER = {"kind": "tower", "base": {"generators": ["a", "b"]}, "steps": [{"v": "ab", "m": 2, "name": "w"}]}
+COMMANDS = {"hnn": ["check-hnn"], "amalgam": ["check-amalgam"], "tower": ["tower", "show"]}
+DROP = object()
+
+
+def edit(doc, *path, value=DROP):
+    """A copy of doc with the value at path (keys and indices) replaced or dropped."""
+    doc = json.loads(json.dumps(doc))
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return doc
+
+
+def malformed_files():
+    """(id, kind, document, error code) with one fault each: a `schema` fault
+    in the structure, or an `invalid-input` fault in the content."""
+    for doc, pres in ((HNN, "base"), (AMALGAM, "left"), (AMALGAM, "right"), (TOWER, "base")):
+        for name, d in [
+            ("missing", edit(doc, pres)),
+            ("array", edit(doc, pres, value=["a"])),
+            ("no-generators", edit(doc, pres, "generators")),
+            ("empty-generators", edit(doc, pres, "generators", value=[])),
+            ("generators-string", edit(doc, pres, "generators", value="ab")),
+            ("two-letter-generator", edit(doc, pres, "generators", value=["ab"])),
+            ("uppercase-generator", edit(doc, pres, "generators", value=["A"])),
+            ("int-generator", edit(doc, pres, "generators", value=[1])),
+            ("empty-generator", edit(doc, pres, "generators", value=[""])),
+            ("newline-generator", edit(doc, pres, "generators", value=["a\n"])),
+            ("relators-string", edit(doc, pres, "relators", value="ab")),
+            ("int-relator", edit(doc, pres, "relators", value=[1])),
+        ]:
+            yield f"{doc['kind']}-{pres}-{name}", doc["kind"], d, "schema"
+    for doc in (HNN, AMALGAM):
+        for name, d in [
+            ("no-u", edit(doc, "u_generators")),
+            ("no-v", edit(doc, "v_generators")),
+            ("u-string", edit(doc, "u_generators", value="aa")),
+            ("v-null", edit(doc, "v_generators", value=[None])),
+            ("iso-object", edit(doc, "iso", value={})),
+            ("iso-string", edit(doc, "iso", value=["xx"])),
+            ("iso-short", edit(doc, "iso", value=[["xx"]])),
+            ("iso-long", edit(doc, "iso", value=[["xx", "yyy", "y"]])),
+            ("iso-int", edit(doc, "iso", value=[["xx", 3]])),
+        ]:
+            yield f"{doc['kind']}-{name}", doc["kind"], d, "schema"
+    other = {"hnn": AMALGAM, "amalgam": TOWER, "tower": HNN}
+    for kind in COMMANDS:
+        for name, d in [("array", []), ("string", "hnn"), ("no-kind", {}), ("unknown-kind", {"kind": "graph"}),
+                        ("int-kind", {"kind": 1}), ("other-kind", other[kind])]:
+            yield f"{kind}-{name}", kind, d, "schema"
+    for name, value in [("no-steps", DROP), ("steps-object", {}), ("step-string", ["ab"])]:
+        yield f"tower-{name}", "tower", edit(TOWER, "steps", value=value), "schema"
+    for key, name, value in [
+        ("v", "no-v", DROP), ("v", "v-array", ["ab"]), ("m", "no-m", DROP), ("m", "m-string", "2"),
+        ("m", "m-zero", 0), ("m", "m-negative", -2), ("m", "m-bool", True), ("m", "m-fraction", 2.5),
+        ("m", "m-float", 2.0), ("m", "m-null", None), ("name", "name-null", None), ("name", "name-int", 7),
+    ]:
+        yield f"tower-{name}", "tower", edit(TOWER, "steps", 0, key, value=value), "schema"
+    for name, kind, d in [
+        ("hnn-duplicate-generators", "hnn", edit(HNN, "base", "generators", value=["a", "a"])),
+        ("amalgam-duplicate-generators", "amalgam", edit(AMALGAM, "left", "generators", value=["x", "x"])),
+        ("tower-duplicate-generators", "tower", edit(TOWER, "base", "generators", value=["a", "b", "a"])),
+        ("hnn-relators", "hnn", edit(HNN, "base", "relators", value=["abAB"])),
+        ("amalgam-relators", "amalgam", edit(AMALGAM, "right", "relators", value=["yy"])),
+        ("tower-relators", "tower", edit(TOWER, "base", "relators", value=["abAB"])),
+        ("hnn-bad-relator", "hnn", edit(HNN, "base", "relators", value=["q"])),
+        ("hnn-bad-u-word", "hnn", edit(HNN, "u_generators", value=["ac"])),
+        ("amalgam-bad-v-word", "amalgam", edit(AMALGAM, "v_generators", value=["x"])),
+        ("amalgam-bad-iso-word", "amalgam", edit(AMALGAM, "iso", value=[["yy", "yyy"]])),
+        ("hnn-length-mismatch", "hnn", edit(HNN, "v_generators", value=["b", "a"])),
+        ("amalgam-not-iso", "amalgam", edit(AMALGAM, "iso", value=[["xx", "yy"]])),
+        ("tower-proper-power", "tower", edit(TOWER, "steps", 0, "v", value="abab")),
+        ("tower-identity", "tower", edit(TOWER, "steps", 0, "v", value="1")),
+        ("tower-unparsable-v", "tower", edit(TOWER, "steps", 0, "v", value="(a")),
+        ("tower-unknown-letter", "tower", edit(TOWER, "steps", 0, "v", value="c")),
+    ]:
+        yield name, kind, d, "invalid-input"
+
+
+MALFORMED = list(malformed_files())
+
+
+class TestConstructionFiles:
+    @pytest.mark.parametrize("kind, doc, error", [row[1:] for row in MALFORMED], ids=[row[0] for row in MALFORMED])
+    def test_malformed(self, capsys, tmp_path, kind, doc, error):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, *COMMANDS[kind], str(path))
+        assert code == 3
+        assert out["error"]["code"] == error
+
+    def test_schema_message_names_the_field(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(edit(TOWER, "steps", 0, "m", value=2.0)))
+        _, out = run_json(capsys, "tower", "show", str(path))
+        assert out["error"]["message"] == f"{path}#/steps/0/m must be an integer"
+
+    @pytest.mark.parametrize("data", [b"[" * 100000, b"\xff\xfe{", b'{"kind": "hnn", "m": 1' + b"0" * 5000 + b"}"],
+                             ids=["deep-nesting", "not-utf8", "long-integer"])
+    def test_unreadable_json(self, capsys, tmp_path, data):
+        path = tmp_path / "c.json"
+        path.write_bytes(data)
+        code, out = run_json(capsys, "check-hnn", str(path))
+        assert code == 3
+        assert out["error"]["code"] == "parse"
+
+    def test_f4_basis_is_decided(self, capsys, tmp_path):
+        # the u-words are a basis of F_4 that only length-keeping Nielsen
+        # moves reduce, so the iso check needs a complete inversion
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps({
+            "kind": "hnn", "base": {"generators": ["a", "b", "c", "d"]},
+            "u_generators": ["ad", "adBadBA", "DACDA", "DbDACDA"], "v_generators": ["a", "b", "c", "d"],
+        }))
+        code, out = run_json(capsys, "check-hnn", str(path))
+        assert code == 2
+        assert out["outcome"] == "hypotheses-fail-inconclusive"
+        assert out["details"]["u_rank"] == 4
+
+    def test_fuzz_exits_cleanly(self, capsys, tmp_path):
+        # seeded mutations of valid files end in an exit code 0-4, never an exception
+        t0 = time.perf_counter()
+        rng = random.Random(121)
+        path = tmp_path / "c.json"
+        values = [None, True, 0, 1, 2, -1, 2.0, 1e300, "", "a", "A", "aa", "ab", "(a", "a^(1/2)", "é",
+                  [], ["a"], ["a", "a"], [["a", "b"]], {}, {"generators": ["a"]}]
+        count = 0
+        for _ in range(400):
+            kind = rng.choice(list(COMMANDS))
+            doc = json.loads(json.dumps({"hnn": HNN, "amalgam": AMALGAM, "tower": TOWER}[kind]))
+            for _ in range(rng.randint(1, 3)):
+                obj = doc
+                while isinstance(obj, (dict, list)) and obj and rng.random() < 0.6:
+                    key = rng.choice(list(obj)) if isinstance(obj, dict) else rng.randrange(len(obj))
+                    if not isinstance(obj[key], (dict, list)) or not obj[key]:
+                        break
+                    obj = obj[key]
+                if not isinstance(obj, (dict, list)) or not obj:
+                    continue
+                key = rng.choice(list(obj)) if isinstance(obj, dict) else rng.randrange(len(obj))
+                if rng.random() < 0.2:
+                    del obj[key]
+                else:
+                    obj[key] = rng.choice(values)
+            text = json.dumps(doc)
+            if rng.random() < 0.2:
+                i = rng.randrange(len(text))
+                text = text[:i] + text[i + rng.randint(1, 3):]
+            path.write_text(text)
+            try:
+                code = cli.run(["--json", *COMMANDS[kind], str(path)])
+            except Exception as ex:  # noqa: BLE001
+                pytest.fail(f"{text!r:.200} raised {ex!r:.200}")
+            capsys.readouterr()
+            assert code in range(5), text
+            count += 1
+        assert count == 400
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestTower:
@@ -336,6 +524,17 @@ class TestQword:
         assert time.perf_counter() - t0 < 10.0
         assert code == 0
         assert doc["canonical"] == canonical
+
+    def test_root_power_below_cap(self, capsys):
+        # normalizing carries v^(10!) for v the index-10 root of the ab
+        # chain; that power is the word ab, far below the power cap
+        args = ["--max-level", "11"]
+        code, doc = run_json(capsys, "qword", "normalize", "b(ab)^(1/11)a(ab)^(1/11)", *args)
+        assert code == 0
+        assert doc["level"] == 11
+        code, again = run_json(capsys, "qword", "normalize", doc["canonical"], *args)
+        assert code == 0
+        assert again["canonical"] == doc["canonical"]
 
     def test_resource_cap(self, capsys):
         code, doc = run_json(capsys, "qword", "normalize", "a^(1/5)", "--max-level", "2")

@@ -159,25 +159,13 @@ class TestPrimitiveExtensions:
 
 class TestJson:
     def test_roundtrip_hnn(self):
-        obj = {
-            "kind": "hnn",
-            "base": {"generators": ["a", "b"]},
-            "u_generators": ["aa"],
-            "v_generators": ["bb"],
-        }
-        data = constructions.hnn_from_json(obj)
+        data = hnn(AB, ["aa"], ["bb"])
         v = check_separated_hnn(data)
         doc = constructions.verdict_to_json(v)
         assert doc["outcome"] == OUTCOME_NOT_HYPERBOLIC
         assert doc["witness"]["verified"]
 
     def test_roundtrip_amalgam(self):
-        obj = {
-            "kind": "amalgam",
-            "left": {"generators": ["x"]},
-            "right": {"generators": ["y"]},
-            "u_generators": ["xx"],
-            "v_generators": ["yyy"],
-        }
-        v = check_amalgam(constructions.amalgam_from_json(obj))
+        data = AmalgamData(X, Y, (X.alphabet.parse("xx"),), (Y.alphabet.parse("yyy"),))
+        v = check_amalgam(data)
         assert v.outcome == OUTCOME_NOT_HYPERBOLIC

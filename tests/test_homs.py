@@ -4,7 +4,7 @@ against the restart-from-the-start reductions they replaced."""
 import random
 
 from freeq import homs, words
-from freeq.stallings import contains
+from freeq.stallings import build_core, contains
 from freeq.words import Alphabet, free_reduce, mul
 
 AB = Alphabet(("a", "b"))
@@ -222,3 +222,40 @@ def test_amalgam_reduce_matches_restart_oracle():
         longer += len(red) > 1
     assert trivial > 300 and longer > 200
 
+
+
+def nielsen_moved_basis(rng, k, moves):
+    """A basis of F_k made from the standard one by random Nielsen moves."""
+    d = [(i + 1,) for i in range(k)]
+    for _ in range(moves):
+        i, j = rng.sample(range(k), 2)
+        dj = d[j] if rng.random() < 0.5 else words.inverse(d[j])
+        d[i] = rng.choice([mul(d[i], dj), mul(dj, d[i]), words.inverse(d[i])])
+    rng.shuffle(d)
+    return d
+
+
+def test_nielsen_invert_inverts_every_basis():
+    # moves that keep the length (Nielsen's N3) are needed on bases such as
+    # the u-words {ad, adBadBA, DACDA, DbDACDA} of F_4
+    rng = random.Random(9)
+    bases = [[(1, 4), (1, 4, -2, 1, 4, -2, -1), (-4, -1, -3, -4, -1), (-4, 2, -4, -1, -3, -4, -1)]]
+    bases += [nielsen_moved_basis(rng, rng.randint(2, 5), rng.randint(1, 12)) for _ in range(1500)]
+    for d in bases:
+        inv = homs.nielsen_invert(d)
+        assert inv is not None, d
+        assert [homs._substitute(e, d) for e in inv] == [(i + 1,) for i in range(len(d))], d
+
+
+def test_nielsen_invert_rejects_non_bases():
+    for d in [[(1, 1), (2,)], [(1, 2), (1, 2)], [(1,), ()], [(1, 2, -1, -2), (1,)], [(1,)] * 2, [(1, 2)]]:
+        assert homs.nielsen_invert(d) is None, d
+    # a random tuple is a basis iff its Stallings graph is the rose
+    rng = random.Random(10)
+    letters = Alphabet(tuple("abcd"))
+    for _ in range(1500):
+        k = rng.randint(1, 4)
+        d = [random_word(rng, Alphabet(letters.names[:k]), 4) for _ in range(k)]
+        core = build_core(Alphabet(letters.names[:k]), d)
+        rose = all(d) and core.num_vertices == 1 and core.betti == k
+        assert (homs.nielsen_invert(d) is not None) == rose, d
