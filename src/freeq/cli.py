@@ -111,6 +111,8 @@ def _cmd_word_root(args, out: _Output) -> int:
 
 
 def _cmd_word_area(args, out: _Output) -> int:
+    if args.area_bound < 0:
+        raise InputError("invalid-input", "--area-bound must be at least 0")
     a = _alphabet(args.base)
     relators = tuple(words.cyclic_reduce(_parse_word(a, r)).core for r in args.relator)
     if not relators:
@@ -228,22 +230,25 @@ def _build(gens, relators) -> Presentation:
     return Presentation(a, tuple(map(a.parse, relators)))
 
 
-def _read_hnn(obj: dict, at: str) -> constructions.HNNData:
-    gens, relators = _presentation(obj, "base", at)
+def _read_edge(obj: dict, at: str, *factors: str):
+    """The factor presentations (one HNN base, or an amalgam's left and
+    right) and the u_generators, v_generators and iso words over them."""
+    presentations = [_presentation(obj, key, at) for key in factors]
     u, v, iso = _strings(obj, "u_generators", at), _strings(obj, "v_generators", at), _iso(obj, at)
-    base = _build(gens, relators)
-    a = base.alphabet
-    iso = tuple((a.parse(x), a.parse(y)) for x, y in iso)
-    return constructions.HNNData(base, tuple(map(a.parse, u)), tuple(map(a.parse, v)), iso)
+    groups = [_build(*p) for p in presentations]
+    dom, cod = groups[0].alphabet, groups[-1].alphabet
+    iso = tuple((dom.parse(x), cod.parse(y)) for x, y in iso)
+    return groups, tuple(map(dom.parse, u)), tuple(map(cod.parse, v)), iso
+
+
+def _read_hnn(obj: dict, at: str) -> constructions.HNNData:
+    (base,), u, v, iso = _read_edge(obj, at, "base")
+    return constructions.HNNData(base, u, v, iso)
 
 
 def _read_amalgam(obj: dict, at: str) -> constructions.AmalgamData:
-    left, right = _presentation(obj, "left", at), _presentation(obj, "right", at)
-    u, v, iso = _strings(obj, "u_generators", at), _strings(obj, "v_generators", at), _iso(obj, at)
-    left, right = _build(*left), _build(*right)
-    la, ra = left.alphabet, right.alphabet
-    iso = tuple((la.parse(x), ra.parse(y)) for x, y in iso)
-    return constructions.AmalgamData(left, right, tuple(map(la.parse, u)), tuple(map(ra.parse, v)), iso)
+    (left, right), u, v, iso = _read_edge(obj, at, "left", "right")
+    return constructions.AmalgamData(left, right, u, v, iso)
 
 
 def _read_tower(obj: dict, at: str) -> Tower:

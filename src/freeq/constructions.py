@@ -8,7 +8,7 @@ machine-checked witness (a commuting pair or a Baumslag-Solitar relation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import homs, stallings
 from .stallings import CoreGraph, build_core, express, free_basis
@@ -71,40 +71,39 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
 
-def _iso_parts(data):
+def _edge(data) -> Tuple[CoreGraph, CoreGraph, homs.EdgeContext]:
+    """U's core, V's core and the edge psi: U -> V that the iso pairs give.
+
+    Raises IsoError unless every pair is trivial on both sides or on
+    neither, the nontrivial pairs are free bases of <u-words> and of
+    <images> (so psi and its inverse are well defined), and those are U
+    and V.
+    """
     if isinstance(data, HNNData):
         dom = cod = _free_base(data.base)
+        error = IsoError("associated subgroup mapping is not an isomorphism")
     else:
         dom, cod = _free_base(data.left), _free_base(data.right)
-    return dom, cod
+        error = IsoError("amalgamated subgroup mapping is not an isomorphism")
+    if any(bool(u) != bool(v) for u, v in data.iso):
+        raise error
+    try:
+        ctx = homs.edge_context(dom, cod, [(u, v) for u, v in data.iso if u])
+    except ValueError:
+        raise error from None
+    gU, gV = build_core(dom, data.u_generators), build_core(cod, data.v_generators)
+    if ctx.psi.graph.serialize() != gU.serialize() or ctx.psi_inv.graph.serialize() != gV.serialize():
+        raise error
+    return gU, gV, ctx
 
 
 def verify_iso(data) -> bool:
-    """True iff the basis mapping extends to an isomorphism U -> V.
-
-    The u-side words must be a free basis of U, the images must generate V,
-    and the ranks must agree; a surjection between free groups of the same
-    finite rank is an isomorphism.
-    """
-    dom, cod = _iso_parts(data)
-    gU = build_core(dom, data.u_generators)
-    gV = build_core(cod, data.v_generators)
-    if gU.betti == 0 or gV.betti == 0:
-        return gU.betti == gV.betti and all(
-            bool(u) == bool(v) for u, v in data.iso
-        )
-    pairs = [(u, v) for u, v in data.iso if u or v]
-    if any(not u or not v for u, v in pairs):
+    """True iff the basis mapping extends to an isomorphism U -> V."""
+    try:
+        _edge(data)
+    except IsoError:
         return False
-    psi = homs.SubgroupHom(dom, pairs, cod)
-    if not psi.valid:
-        return False
-    if psi.graph.serialize() != gU.serialize():
-        return False  # iso's u-words span a proper subgroup of U
-    g_img = build_core(cod, [v for _, v in data.iso])
-    if g_img.serialize() != gV.serialize():
-        return False  # images do not generate V
-    return gU.betti == gV.betti
+    return True
 
 
 def _cyclic_exponent(graph: CoreGraph, w: Word) -> Optional[int]:
@@ -117,17 +116,14 @@ def _cyclic_exponent(graph: CoreGraph, w: Word) -> Optional[int]:
     return sum(s for _, s in d)
 
 
-def _hnn_witness_intersection(data: HNNData, gU, gV, inter) -> dict:
+def _hnn_witness_intersection(ctx: homs.EdgeContext, gV, inter) -> dict:
     """Witness from an infinite intersection U cap g^-1 V g (cyclic case).
 
     With x = t g the relation x^-1 h^beta x = h^alpha holds; alpha == beta
     gives a commuting pair, otherwise a Baumslag-Solitar relation.  Either
     pattern rules out hyperbolicity and is checked by Britton reduction.
     """
-    base = _free_base(data.base)
-    ctx = homs.hnn_context(base, data.iso)
     g, h = inter.witness, inter.common_element
-    v0 = free_basis(gV)[0]
     alpha = _cyclic_exponent(gV, ctx.psi.apply(h))
     beta = _cyclic_exponent(gV, mul(g, h, inverse(g)))
     x = [("t", 1)] + list(g)
@@ -137,44 +133,32 @@ def _hnn_witness_intersection(data: HNNData, gU, gV, inter) -> dict:
     kind = "commuting-pair" if abs(alpha) == abs(beta) else "baumslag-solitar-relation"
     return {
         "kind": kind,
-        "x": "t" + base.format(g) if g else "t",
-        "y": base.format(h),
+        "x": "t" + ctx.dom.format(g) if g else "t",
+        "y": ctx.dom.format(h),
         "relation": f"x^-1 y^{beta} x = y^{alpha}",
         "verified": True,
     }
 
 
-def _hnn_witness_pair(data: HNNData, gU, gV, csU, csV) -> dict:
+def _hnn_witness_pair(ctx: homs.EdgeContext, gU, csU, csV) -> dict:
     """Commuting pair ((t g2^2 t^-1 g1^2)^2, c) when neither side is conjugate
     separated, checked by Britton reduction."""
-    base = _free_base(data.base)
-    ctx = homs.hnn_context(base, data.iso)
     g1, g2 = csU.witness, csV.witness
     c = free_basis(gU)[0]
-    x = (
-        [("t", 1)]
-        + list(power(g2, 2))
-        + [("t", -1)]
-        + list(power(g1, 2))
-    ) * 2
-    y = list(c)
-    if not homs.hnn_commute(ctx, x, y):
+    x = ([("t", 1)] + list(power(g2, 2)) + [("t", -1)] + list(power(g1, 2))) * 2
+    if not homs.hnn_commute(ctx, x, list(c)):
         raise CertificateError("witness pair failed commutation check")
     return {
         "kind": "commuting-pair",
-        "x": "(t" + base.format(power(g2, 2)) + "T" + base.format(power(g1, 2)) + ")^2",
-        "y": base.format(c),
+        "x": "(t" + ctx.dom.format(power(g2, 2)) + "T" + ctx.dom.format(power(g1, 2)) + ")^2",
+        "y": ctx.dom.format(c),
         "verified": True,
     }
 
 
 def check_separated_hnn(data: HNNData) -> Verdict:
     """Decide hyperbolicity of <G, t | U^t = V> for free G per the separation test."""
-    if not verify_iso(data):
-        raise IsoError("associated subgroup mapping is not an isomorphism")
-    base = _free_base(data.base)
-    gU = build_core(base, data.u_generators)
-    gV = build_core(base, data.v_generators)
+    gU, gV, ctx = _edge(data)
     csU = stallings.is_conjugate_separated(gU)
     csV = stallings.is_conjugate_separated(gV)
     inter = stallings.conjugate_intersections_finite(gU, gV)
@@ -194,37 +178,32 @@ def check_separated_hnn(data: HNNData) -> Verdict:
     if not cyclic:
         return Verdict(OUTCOME_INCONCLUSIVE, "Theorem 1", details=details)
     if not inter.holds:
-        witness = _hnn_witness_intersection(data, gU, gV, inter)
+        witness = _hnn_witness_intersection(ctx, gV, inter)
     else:
-        witness = _hnn_witness_pair(data, gU, gV, csU, csV)
+        witness = _hnn_witness_pair(ctx, gU, csU, csV)
     return Verdict(OUTCOME_NOT_HYPERBOLIC, "Corollary 1", witness=witness, details=details)
 
 
-def _amalgam_witness_pair(data: AmalgamData, gU, csU, csV) -> dict:
-    """Commuting pair ((g1 g2)^2, z) when neither side is conjugate separated."""
-    left, right = _free_base(data.left), _free_base(data.right)
-    ctx = homs.amalgam_context(left, right, data.iso)
+def _amalgam_witness_pair(ctx: homs.EdgeContext, gU, csU, csV) -> dict:
+    """Commuting pair ((g1 g2)^2, z) when neither side is conjugate separated,
+    checked by reducing the commutator x^-1 z^-1 x z to the identity."""
     g1, g2 = csU.witness, csV.witness
     z = free_basis(gU)[0]
     x = [("L", g1), ("R", g2)] * 2
-    y = [("L", z)]
-    if not homs.amalgam_commute(ctx, x, y):
+    x_inv = [("R", inverse(g2)), ("L", inverse(g1))] * 2
+    if homs.amalgam_reduce(ctx, x_inv + [("L", inverse(z))] + x + [("L", z)]) != [("L", ())]:
         raise CertificateError("witness pair failed commutation check")
     return {
         "kind": "commuting-pair",
-        "x": f"({left.format(g1)}*{right.format(g2)})^2",
-        "y": left.format(z),
+        "x": f"({ctx.dom.format(g1)}*{ctx.cod.format(g2)})^2",
+        "y": ctx.dom.format(z),
         "verified": True,
     }
 
 
 def check_amalgam(data: AmalgamData) -> Verdict:
     """Decide hyperbolicity of G1 *_{U=V} G2 for free factors."""
-    if not verify_iso(data):
-        raise IsoError("amalgamated subgroup mapping is not an isomorphism")
-    left, right = _free_base(data.left), _free_base(data.right)
-    gU = build_core(left, data.u_generators)
-    gV = build_core(right, data.v_generators)
+    gU, gV, ctx = _edge(data)
     csU = stallings.is_conjugate_separated(gU)
     csV = stallings.is_conjugate_separated(gV)
     details = {
@@ -239,7 +218,7 @@ def check_amalgam(data: AmalgamData) -> Verdict:
         details["separated_side"] = "left" if csU.holds else "right"
         return Verdict(OUTCOME_HYPERBOLIC, "Theorem 2", details=details)
     if gU.betti == 1 and gV.betti == 1:
-        witness = _amalgam_witness_pair(data, gU, csU, csV)
+        witness = _amalgam_witness_pair(ctx, gU, csU, csV)
         return Verdict(OUTCOME_NOT_HYPERBOLIC, "Corollary 2", witness=witness, details=details)
     return Verdict(OUTCOME_INCONCLUSIVE, "Theorem 2", details=details)
 

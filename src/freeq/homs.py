@@ -4,6 +4,12 @@ reduction in HNN-extensions and amalgams over free bases.
 The subgroup map is given on a free basis; applying it to an arbitrary
 subgroup element goes through the Stallings decomposition over the core
 graph's intrinsic basis, with a Nielsen change of basis in between.
+
+Both free constructions are the graph of groups with one edge psi: U -> V
+(a loop for an HNN-extension, a segment for an amalgam), and words in
+either are checked by one Britton pass on it, `hnn_reduce`: Britton's lemma
+and the amalgam normal form are one theorem (Lyndon-Schupp IV.2, Serre,
+Trees I.1).
 """
 
 from __future__ import annotations
@@ -124,50 +130,33 @@ class SubgroupHom:
 
 
 # ---------------------------------------------------------------------------
-# HNN-extension words  <F(base), t | t^-1 u t = psi(u), u in U>
+# The edge psi: U <= F(dom) -> V <= F(cod); an HNN-extension has dom = cod
 # ---------------------------------------------------------------------------
-
-T_UP = "t"  # stable letter
-T_DOWN = "T"  # its inverse
-
-HnnToken = object  # int (base letter) or T_UP / T_DOWN
 
 
 @dataclass
-class HnnContext:
-    base: Alphabet
+class EdgeContext:
+    dom: Alphabet
+    cod: Alphabet
     psi: SubgroupHom  # U -> V
     psi_inv: SubgroupHom  # V -> U
 
 
-def hnn_context(base: Alphabet, pairs: Sequence[Tuple[Word, Word]]) -> HnnContext:
-    psi = SubgroupHom(base, pairs, base)
-    psi_inv = SubgroupHom(base, [(v, u) for (u, v) in pairs], base)
+def edge_context(dom: Alphabet, cod: Alphabet, pairs: Sequence[Tuple[Word, Word]]) -> EdgeContext:
+    psi = SubgroupHom(dom, pairs, cod)
+    psi_inv = SubgroupHom(cod, [(v, u) for (u, v) in pairs], dom)
     if not (psi.valid and psi_inv.valid):
-        raise ValueError("associated subgroup map is not an isomorphism on the given bases")
-    return HnnContext(base, psi, psi_inv)
+        raise ValueError("edge map is not an isomorphism on the given bases")
+    return EdgeContext(dom, cod, psi, psi_inv)
 
 
-def hnn_parse(alphabet: Alphabet, text: str) -> list:
-    out: list = []
-    for ch in text.strip():
-        if ch == T_UP:
-            out.append(("t", 1))
-        elif ch == T_DOWN:
-            out.append(("t", -1))
-        elif ch == "1":
-            continue
-        else:
-            out.append(alphabet.letter(ch))
-    return out
-
-
-def hnn_reduce(ctx: HnnContext, tokens: list) -> list:
+def hnn_reduce(ctx: EdgeContext, tokens: list) -> list:
     """Britton reduction: no t^-1 u t with u in U, no t v t^-1 with v in V remains.
 
-    One left-to-right pass keeps a reduced stack of t-signs and the words
-    between them.  Each new t-sign is checked against the one on top around
-    the word between them, so the leftmost pinch is always applied first.
+    Tokens are signed letters and ("t", +-1).  One left-to-right pass keeps
+    a reduced stack of t-signs and the words between them.  Each new t-sign
+    is checked against the one on top around the word between them, so the
+    leftmost pinch is always applied first.
     """
     words: list = [[]]
     signs: list = []
@@ -192,7 +181,7 @@ def hnn_reduce(ctx: HnnContext, tokens: list) -> list:
     return out
 
 
-def hnn_is_identity(ctx: HnnContext, tokens: list) -> bool:
+def hnn_is_identity(ctx: EdgeContext, tokens: list) -> bool:
     return not hnn_reduce(ctx, tokens)
 
 
@@ -206,81 +195,48 @@ def hnn_inverse(tokens: list) -> list:
     return out
 
 
-def hnn_commute(ctx: HnnContext, x: list, y: list) -> bool:
+def hnn_commute(ctx: EdgeContext, x: list, y: list) -> bool:
     return hnn_is_identity(ctx, hnn_inverse(x) + hnn_inverse(y) + list(x) + list(y))
 
 
-# ---------------------------------------------------------------------------
-# Amalgam words  F(left) *_{U=V} F(right)
-# ---------------------------------------------------------------------------
+Syllable = Tuple[str, Word]  # ("L", word over dom) or ("R", word over cod)
 
 
-@dataclass
-class AmalgamContext:
-    left: Alphabet
-    right: Alphabet
-    psi: SubgroupHom  # U <= F(left) -> V <= F(right)
-    psi_inv: SubgroupHom
-
-    def factor(self, side: str) -> Alphabet:
-        return self.left if side == "L" else self.right
-
-
-def amalgam_context(
-    left: Alphabet, right: Alphabet, pairs: Sequence[Tuple[Word, Word]]
-) -> AmalgamContext:
-    psi = SubgroupHom(left, pairs, right)
-    psi_inv = SubgroupHom(right, [(v, u) for (u, v) in pairs], left)
-    if not (psi.valid and psi_inv.valid):
-        raise ValueError("amalgamated subgroup map is not an isomorphism on the given bases")
-    return AmalgamContext(left, right, psi, psi_inv)
-
-
-Syllable = Tuple[str, Word]  # ("L"|"R", word in that factor)
-
-
-def amalgam_reduce(ctx: AmalgamContext, sylls: Sequence[Syllable]) -> List[Syllable]:
+def amalgam_reduce(ctx: EdgeContext, sylls: Sequence[Syllable]) -> List[Syllable]:
     """Reduced sequence: alternating sides, no syllable in the edge subgroup
-    unless it is the only one.
+    unless it is the only one; the identity is [("L", ())].
 
-    One left-to-right pass over a reduced stack: a new syllable merges into
-    a top on its side, and a syllable in the edge subgroup crosses over to
-    merge with its neighbour.
+    L(w1) R(w2) L(w3) ... is the closed path w1 t w2 t^-1 w3 ... through
+    hnn_reduce (a -> a, b -> t b t^-1 embeds the amalgam in the loop over
+    F(dom) * F(cod)).  The reduced path alternates L and R words, every
+    inner one outside the edge subgroup; an end word in U folds into its R
+    neighbour.
     """
-
-    def in_edge(side, w):
-        return contains((ctx.psi if side == "L" else ctx.psi_inv).graph, w)
-
-    def cross(side, w):
-        if side == "L":
-            return "R", ctx.psi.apply(w)
-        return "L", ctx.psi_inv.apply(w)
-
-    stack: List[Syllable] = []
+    tokens: list = []
+    at = "L"
     for side, w in sylls:
-        w = free_reduce(w)
-        while w:
-            if stack and stack[-1][0] == side:
-                w = mul(stack.pop()[1], w)
-            elif stack and in_edge(side, w):
-                side, w = cross(side, w)
-            elif len(stack) == 1 and in_edge(*stack[0]):
-                w = mul(cross(*stack.pop())[1], w)
-            else:
-                stack.append((side, w))
-                break
-    return stack or [("L", ())]
-
-
-def amalgam_is_identity(ctx: AmalgamContext, sylls: Sequence[Syllable]) -> bool:
-    red = amalgam_reduce(ctx, sylls)
-    return len(red) == 1 and not red[0][1]
-
-
-def amalgam_inverse(sylls: Sequence[Syllable]) -> List[Syllable]:
-    return [(side, inverse(w)) for side, w in reversed(list(sylls))]
-
-
-def amalgam_commute(ctx: AmalgamContext, x: Sequence[Syllable], y: Sequence[Syllable]) -> bool:
-    word = amalgam_inverse(x) + amalgam_inverse(y) + list(x) + list(y)
-    return amalgam_is_identity(ctx, word)
+        if side != at:
+            tokens.append(("t", 1 if side == "R" else -1))
+            at = side
+        tokens.extend(w)
+    if at == "R":
+        tokens.append(("t", -1))
+    parts: list = [[]]
+    for tok in hnn_reduce(ctx, tokens):
+        if isinstance(tok, tuple):
+            parts.append([])
+        else:
+            parts[-1].append(tok)
+    if len(parts) == 1:
+        return [("L", tuple(parts[0]))]
+    head, *mid, tail = map(tuple, parts)
+    red = [("RL"[i % 2], w) for i, w in enumerate(mid)]  # R, L, ..., R
+    if contains(ctx.psi.graph, head):
+        red[0] = ("R", mul(ctx.psi.apply(head), red[0][1]))
+    else:
+        red.insert(0, ("L", head))
+    if contains(ctx.psi.graph, tail):
+        red[-1] = ("R", mul(red[-1][1], ctx.psi.apply(tail)))
+    else:
+        red.append(("L", tail))
+    return red

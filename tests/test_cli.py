@@ -145,6 +145,14 @@ class TestWord:
         assert code == 2
         assert doc["status"] == "absent-within-bound"
 
+    def test_area_bound_below_zero(self, capsys):
+        code, doc = run_json(capsys, "word", "area", "abAB", "--relator", "aaa", "--area-bound", "-1")
+        assert code == 3
+        assert doc["error"] == {"code": "invalid-input", "message": "--area-bound must be at least 0"}
+        code, doc = run_json(capsys, "word", "area", "abAB", "--relator", "aaa", "--area-bound", "0")
+        assert code == 2
+        assert doc["status"] == "absent-within-bound"
+
     def test_parse_error(self, capsys):
         code, doc = run_json(capsys, "word", "reduce", "a?b")
         assert code == 3
@@ -174,6 +182,12 @@ class TestSubgroup:
         code, doc = run_json(capsys, "subgroup", "qc-const", "ab")
         assert code == 0
         assert doc["quasiconvexity_constant"] == "1"
+
+
+HNN = {"kind": "hnn", "base": {"generators": ["a", "b"]}, "u_generators": ["aa"], "v_generators": ["bb"]}
+TORUS = {"kind": "amalgam", "left": {"generators": ["x"]}, "right": {"generators": ["y"]},
+         "u_generators": ["xx"], "v_generators": ["yyy"]}
+BS23 = {"kind": "hnn", "base": {"generators": ["x"]}, "u_generators": ["xx", "xX"], "v_generators": ["xxx", "1"]}
 
 
 class TestConstructions:
@@ -210,8 +224,32 @@ class TestConstructions:
         _, out2 = run(capsys, "--json", "check-hnn", hnn_file)
         assert out1 == out2
 
+    @pytest.mark.parametrize("doc, identity_doc", [
+        (HNN, {**HNN, "u_generators": ["aa", "1"], "v_generators": ["bb", "1"]}),
+        (TORUS, {**TORUS, "u_generators": ["xx", "1"], "v_generators": ["yyy", "1"]}),
+        ({**BS23, "u_generators": ["xx"], "v_generators": ["xxx"]}, BS23),
+    ], ids=["k", "torus", "bs23"])
+    def test_identity_generator_keeps_the_verdict(self, capsys, tmp_path, doc, identity_doc):
+        # a generator pair that is trivial on both sides changes neither U, V
+        # nor psi, so the file prints what it prints without that pair
+        paths = []
+        for name, d in (("plain.json", doc), ("identity.json", identity_doc)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(d))
+        command = COMMANDS[doc["kind"]]
+        for mode in ([], ["--json"]):
+            plain, identity = (run(capsys, *mode, *command, str(path)) for path in paths)
+            assert plain[0] == 1
+            assert identity == plain
 
-HNN = {"kind": "hnn", "base": {"generators": ["a", "b"]}, "u_generators": ["aa"], "v_generators": ["bb"]}
+    def test_iso_on_trivial_subgroups(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**HNN, "u_generators": ["1"], "v_generators": ["1"], "iso": [["a", "b"]]}))
+        code, doc = run_json(capsys, "check-hnn", str(path))
+        assert code == 3
+        assert doc["error"] == {"code": "invalid-input", "message": "associated subgroup mapping is not an isomorphism"}
+
+
 AMALGAM = {"kind": "amalgam", "left": {"generators": ["x"]}, "right": {"generators": ["y"]},
            "u_generators": ["xx"], "v_generators": ["yyy"], "iso": [["xx", "yyy"]]}
 TOWER = {"kind": "tower", "base": {"generators": ["a", "b"]}, "steps": [{"v": "ab", "m": 2, "name": "w"}]}

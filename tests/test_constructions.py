@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from freeq import constructions, homs, words
+from freeq import constructions, homs, stallings, words
 from freeq.constructions import (
     AmalgamData,
     HNNData,
@@ -38,12 +38,83 @@ def amalgam(left, right, us, vs):
     )
 
 
+def stacked_verify_iso(data) -> bool:
+    """verify_iso as it was before the one edge helper, kept as its
+    differential oracle: cores of the u-words, the images and U, V compared
+    one by one, with trivial U and V decided by ranks alone."""
+    if isinstance(data, HNNData):
+        dom = cod = data.base.alphabet
+    else:
+        dom, cod = data.left.alphabet, data.right.alphabet
+    gU = stallings.build_core(dom, data.u_generators)
+    gV = stallings.build_core(cod, data.v_generators)
+    if gU.betti == 0 or gV.betti == 0:
+        return gU.betti == gV.betti and all(bool(u) == bool(v) for u, v in data.iso)
+    pairs = [(u, v) for u, v in data.iso if u or v]
+    if any(not u or not v for u, v in pairs):
+        return False
+    psi = homs.SubgroupHom(dom, pairs, cod)
+    if not psi.valid:
+        return False
+    if psi.graph.serialize() != gU.serialize():
+        return False
+    g_img = stallings.build_core(cod, [v for _, v in data.iso])
+    if g_img.serialize() != gV.serialize():
+        return False
+    return gU.betti == gV.betti
+
+
+def random_edge_data(rng):
+    """An HNNData or AmalgamData with 0-2 short random generators on each
+    side, and the default iso, the generators paired in random order, or
+    random pairs."""
+    W = Presentation(Alphabet(("w",)), ())
+    left, right = rng.choice([(AB, AB), (X, X), (X, Y), (AB, W), (AB, AB), (AB, X)])
+    hnn_kind = left is right and rng.random() < 0.6
+
+    def word(p, n):
+        return words.free_reduce(
+            rng.choice([1, -1]) * rng.randint(1, p.alphabet.size) for _ in range(rng.randint(0, n))
+        )
+
+    k = rng.randint(0, 2)
+    us = tuple(word(left, 3) for _ in range(k))
+    vs = tuple(word(right, 3) for _ in range(k))
+    iso = ()
+    if rng.random() < 0.4:
+        iso = list(zip(us, vs)) if rng.random() < 0.5 else [(word(left, 2), word(right, 2)) for _ in range(k or 1)]
+        rng.shuffle(iso)
+        iso = tuple(iso)
+    if hnn_kind:
+        return HNNData(left, us, vs, iso)
+    return AmalgamData(left, right, us, vs, iso)
+
+
 class TestVerifyIso:
     def test_generator_to_generator(self):
         assert verify_iso(hnn(AB, ["aa"], ["bb"]))
 
     def test_to_square(self):
         assert verify_iso(hnn(AB, ["a"], ["bb"]))
+
+    def test_agrees_with_stacked_oracle(self):
+        # the two differ only on trivial U and V with a nontrivial iso pair,
+        # which the stacked check accepted without looking at the pair
+        rng = random.Random(41)
+        accepted = trivial_edges = 0
+        for _ in range(2400):
+            data = random_edge_data(rng)
+            dom, cod = (data.base, data.base) if isinstance(data, HNNData) else (data.left, data.right)
+            trivial = stallings.build_core(dom.alphabet, data.u_generators).betti == 0
+            trivial &= stallings.build_core(cod.alphabet, data.v_generators).betti == 0
+            new, old = verify_iso(data), stacked_verify_iso(data)
+            if trivial and any(u or v for u, v in data.iso):
+                assert not new, data
+                trivial_edges += old
+            else:
+                assert new == old, data
+            accepted += new
+        assert accepted > 600 and trivial_edges > 10
 
     def test_rank_drop(self):
         a = AB.alphabet
@@ -87,10 +158,39 @@ class TestHNN:
     def test_witness_relation_checked(self):
         # the K witness commutes as claimed, re-verified independently
         data = hnn(AB, ["aa"], ["bb"])
-        ctx = homs.hnn_context(AB.alphabet, data.iso)
-        x = homs.hnn_parse(AB.alphabet, "tbbTaatbbTaa")
-        y = homs.hnn_parse(AB.alphabet, "aa")
-        assert homs.hnn_commute(ctx, x, y)
+        ctx = homs.edge_context(AB.alphabet, AB.alphabet, data.iso)
+        a, b = AB.alphabet.parse("a"), AB.alphabet.parse("b")
+        x = ([("t", 1)] + list(b * 2) + [("t", -1)] + list(a * 2)) * 2
+        assert homs.hnn_commute(ctx, x, list(a * 2))
+
+
+def test_one_edge_per_check(monkeypatch):
+    """Each check builds U's and V's cores and psi, psi^-1 once."""
+    calls = {"cores": 0, "homs": 0}
+    build, init = stallings.build_core, homs.SubgroupHom.__init__
+
+    def counted_build(*args):
+        calls["cores"] += 1
+        return build(*args)
+
+    def counted_init(self, *args):
+        calls["homs"] += 1
+        init(self, *args)
+
+    for module in (stallings, homs, constructions):
+        if getattr(module, "build_core", None) is build:
+            monkeypatch.setattr(module, "build_core", counted_build)
+    monkeypatch.setattr(homs.SubgroupHom, "__init__", counted_init)
+    W = Presentation(Alphabet(("w",)), ())
+    for check, data in [
+        (check_separated_hnn, hnn(AB, ["aa"], ["bb"])),
+        (check_separated_hnn, hnn(X, ["xx"], ["xxx"])),
+        (check_amalgam, amalgam(X, Y, ["xx"], ["yyy"])),
+        (check_amalgam, amalgam(AB, W, ["ab"], ["www"])),
+    ]:
+        calls.update(cores=0, homs=0)
+        check(data)
+        assert calls["cores"] <= 4 and calls["homs"] == 2, (data, calls)
 
 
 class TestAmalgam:

@@ -32,13 +32,13 @@ AMALGAM_ISOS = [
 
 def hnn_contexts():
     return [
-        homs.hnn_context(AB, [(AB.parse(u), AB.parse(v)) for u, v in iso]) for iso in HNN_ISOS
+        homs.edge_context(AB, AB, [(AB.parse(u), AB.parse(v)) for u, v in iso]) for iso in HNN_ISOS
     ]
 
 
 def amalgam_contexts():
     return [
-        homs.amalgam_context(
+        homs.edge_context(
             left, right, [(left.parse(u), right.parse(v)) for u, v in iso]
         )
         for left, right, iso in AMALGAM_ISOS
@@ -83,6 +83,10 @@ def restart_hnn_reduce(ctx, tokens):
         out.append(("t", eps))
         out.extend(w)
     return out
+
+
+def amalgam_inverse(sylls):
+    return [(side, words.inverse(w)) for side, w in reversed(sylls)]
 
 
 def restart_amalgam_reduce(ctx, sylls):
@@ -165,13 +169,13 @@ def random_syllables(rng, ctx):
     sylls = []
     for _ in range(rng.randint(0, 8)):
         side = rng.choice("LR")
-        parts = [random_word(rng, ctx.factor(side), 4)]
+        parts = [random_word(rng, ctx.dom if side == "L" else ctx.cod, 4)]
         if rng.random() < 0.4:
             parts.append(words.power(rng.choice(gens[side]), rng.choice([1, -1, 2])))
         rng.shuffle(parts)
         sylls.append((side, mul(*parts)))
     if rng.random() < 0.4:
-        for side, w in homs.amalgam_inverse(sylls):
+        for side, w in amalgam_inverse(sylls):
             u, v = rng.choice(ctx.psi.pairs)
             if side == "L":
                 sylls += [("L", mul(w, u)), ("R", words.inverse(v))]
@@ -214,10 +218,10 @@ def test_amalgam_reduce_matches_restart_oracle():
         sylls = random_syllables(rng, ctx)
         red = homs.amalgam_reduce(ctx, sylls)
         oracle = restart_amalgam_reduce(ctx, sylls)
-        assert homs.amalgam_is_identity(ctx, sylls) == (oracle == [("L", ())])
+        assert (red == [("L", ())]) == (oracle == [("L", ())])
         assert is_reduced(ctx, red), (sylls, red)
         # the reduced sequence is the same element as the input
-        assert restart_amalgam_reduce(ctx, homs.amalgam_inverse(red) + sylls) == [("L", ())]
+        assert restart_amalgam_reduce(ctx, amalgam_inverse(red) + sylls) == [("L", ())]
         trivial += red == [("L", ())]
         longer += len(red) > 1
     assert trivial > 300 and longer > 200

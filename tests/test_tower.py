@@ -903,7 +903,7 @@ AB, X, Y = (Presentation(Alphabet(tuple(n)), ()) for n in ("ab", "x", "y"))
 homs.hnn_is_identity = lambda ctx, tokens: False
 probe("hnn intersection witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, ((1,),), ((1, 1),))))
 probe("hnn pair witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, ((1, 1),), ((2, 2),))))
-homs.amalgam_is_identity = lambda ctx, sylls: False
+homs.amalgam_reduce = lambda ctx, sylls: [("L", (1,))]
 probe("amalgam pair witness", lambda: cs.check_amalgam(cs.AmalgamData(X, Y, ((1, 1),), ((1, 1, 1),))))
 """
 
