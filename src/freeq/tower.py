@@ -17,6 +17,7 @@ operands of different levels and return results at their own level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -106,6 +107,9 @@ class Tower:
     steps up to the operands' level (0 for none), interned in
     `_caches["prefix"]` by (parent id, step), so towers built separately over
     one caches dict give equal step chains equal ids and share entries.
+    Each entry's value is a pure function of its key, so an entry may go at
+    any time: `_twist` drops the `mul`, `ser` and `key` entries its search
+    added under its own prefix id, and everything else stays.
     """
 
     def __init__(self, base: Alphabet, steps: Tuple[Step, ...] = (), aliases=(), caches=None):
@@ -584,12 +588,13 @@ def _twist(t: Tower, g: Form) -> Tuple[Form, int]:
       word), each a letter or more; each end loses at most |g'| + n to a
       twist g' (elem_len |g'|), so the least is within P_D (3|g'| // (2n) + 3)
       of g' = v^-i g v^i, i from a walk by P_D while the key falls.
+    The candidates' own-level mul, ser and key entries leave the cache after.
     """
     key = ("twist", t._pid[g.level], g)
     cache = t._cache("ops")
     if key in cache:
         return cache[key]
-    lvl = g.level
+    lvl, mark = g.level, len(cache)
 
     def twisted(j: int) -> Form:
         return mul(t, _vpow(t, lvl, -j), g, _vpow(t, lvl, j))
@@ -627,6 +632,9 @@ def _twist(t: Tower, g: Form) -> Tuple[Form, int]:
         n = len(u.ss) if isinstance(u, Form) else len(u)
         j = least(0, 0, 1)
         out = twisted(j), j
+    tail = itertools.islice(reversed(cache), len(cache) - mark)
+    for k in [k for k in tail if k[0] in ("mul", "ser", "key") and k[1] == key[1]]:
+        del cache[k]
     cache[key] = out
     return out
 

@@ -197,16 +197,16 @@ def dehn_area(p: Presentation, w: Word, bound: int) -> Optional[int]:
 
     Breadth-first search over freely reduced words: each step inserts a
     cyclic permutation of a relator (or its inverse) at some position, which
-    multiplies by a conjugate of that relator.  Intermediate words are capped
-    at length |w| + bound * (max relator length), which is sufficient at desk
-    scale but is a documented completeness caveat.
+    multiplies by a conjugate of that relator.  The search is complete up to
+    `bound`; the words of the last step are only tested for the identity.
+    A length bound would prune wrongly: bb (abAB) BB aa (BAba) AA has area
+    2, yet every word one insertion from it has 6 or more letters, more than
+    the 4 its last insertion can cancel.
     """
     if not w:
         return 0
     if not p.relators:
         return None
-    max_rel = max(len(r) for r in p.relators)
-    cap = len(w) + bound * max_rel
     inserts = set()
     for r in p.relators:
         for signed in (r, inverse(r)):
@@ -223,11 +223,9 @@ def dehn_area(p: Presentation, w: Word, bound: int) -> Optional[int]:
                 head, tail = u[:i], u[i:]
                 for m in inserts:
                     v = mul(head, m, tail)
-                    if len(v) > cap:
-                        continue
                     if not v:
                         return n
-                    if v not in seen:
+                    if n < bound and v not in seen:
                         seen.add(v)
                         nxt.append(v)
         frontier = nxt

@@ -75,6 +75,24 @@ def tower_file(tmp_path):
     return str(path)
 
 
+def child_env():
+    """The environment for a fresh interpreter that imports this freeq."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freeq.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(module):
+    """`python -m module --json word reduce abBA` in a fresh interpreter: its JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--json", "word", "reduce", "abBA"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestWord:
     def test_reduce(self, capsys):
         code, doc = run_json(capsys, "word", "reduce", "abBAa")
@@ -83,26 +101,18 @@ class TestWord:
 
     def test_module_entry_point(self):
         # `python -m freeq.cli` runs the CLI, not just imports it
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(freeq.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "freeq.cli", "--json", "word", "reduce", "abBA"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout) == {"length": 0, "reduced": "1"}
+        assert run_module("freeq.cli") == {"length": 0, "reduced": "1"}
+
+    def test_package_entry_point(self):
+        assert run_module("freeq") == {"length": 0, "reduced": "1"}
 
     def test_import_loads_only_the_standard_library(self):
         # importing the CLI in a fresh interpreter loads no third-party module
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(freeq.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import json, sys; before = set(sys.modules); import freeq.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
         assert "freeq.cli" in loaded

@@ -240,6 +240,14 @@ def test_pinned_query_cache_entries():
     assert sum(len(c) for c in s.tower._caches.values()) < 20_000
 
 
+def test_vn3_cache_entries(monkeypatch):
+    # the V_3 tower leaves 13,866 entries (32,284 while each twist search
+    # kept the products, texts and keys of its candidates)
+    monkeypatch.setattr(qc, "_tower_levels", {})
+    ti = qc.tower_level(AB, 3)
+    assert len(ti.tower._caches["ops"]) < 16_000
+
+
 class TestLocate:
     def test_base_word(self):
         s = session()

@@ -644,6 +644,39 @@ class TestTwistProperties:
             assert tw.equal(t, tw.conj(t, f2, d21), f1)
 
 
+class TestTwistCache:
+    """`_twist` drops the mul, ser and key entries its search added at its
+    own level, and no answer depends on what the cache holds."""
+
+    def test_no_own_level_products_left(self):
+        rng = random.Random(71)
+        checked = 0
+        for towers in property_towers():
+            for warm in towers[1:]:
+                for _ in range(6):
+                    core = syllable_core(warm, random_elem(rng, warm, n_factors=3))
+                    if core is None:
+                        continue
+                    t = Tower(warm.base, warm.steps, warm.aliases)  # empty caches
+                    pid = t._pid[t.level]
+                    tw._twist(t, core)
+                    left = t._cache("ops")
+                    assert ("twist", pid, core) in left
+                    assert not [k for k in left if k[0] in ("mul", "ser", "key") and k[1] == pid]
+                    checked += 1
+        assert checked > 10
+
+    @given(st.integers(0, 1), st.integers(1, 5), raw_elems, st.integers(-50, 50))
+    def test_warm_cache_answers_as_fresh(self, which, lvl, raw, j):
+        t, e = tower_elem(which, lvl, raw)
+        core = syllable_core(t, e)
+        assume(core is not None)
+        g = tw.conj(t, core, tw.pow_elem(t, t.step_at(lvl).v, j))
+        fresh = Tower(t.base, t.steps, t.aliases)
+        assert tw._twist(fresh, g) == tw._twist(t, g)
+        assert tw.class_rep(fresh, core) == tw.class_rep(t, core)
+
+
 class TestTwistOracles:
     """The exact twist against the window searches it replaced (kept above as
     oracles): it never picks a larger class representative, keeps every

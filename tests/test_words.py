@@ -3,6 +3,7 @@ and the relator-area search."""
 
 import random
 import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -264,3 +265,74 @@ class TestDehnArea:
     def test_conjugated_relator(self):
         p = Presentation(AB, (W("aaa"),))
         assert words.dehn_area(p, W("baaaB"), 4) == 1
+
+    def test_area_at_the_bound(self):
+        # the last step's words are only tested for the identity
+        p = Presentation(AB, (W("abAB"),))
+        assert words.dehn_area(p, W("abABabAB"), 2) == 2
+        assert words.dehn_area(p, W("abABabAB"), 1) is None
+
+    def test_long_words_on_the_way(self):
+        # each word one step from w has >= 6 letters, more than the 4 a
+        # length pruning |v| <= (bound - n) * max_rel would keep
+        p = Presentation(AB, (W("abAB"),))
+        assert words.dehn_area(p, W("bbabABBBaaBAbA"), 2) == 2
+
+    def test_matches_stored_search(self):
+        # the search that stores every word of every step, under the former
+        # cap of |w| + bound * max_rel letters, gives the same area
+        presentations = [
+            (Alphabet(("a",)), ("aaa",)),
+            (AB, ("abAB",)),
+            (AB, ("aa", "bbb")),
+            (AB, ("abab",)),
+            (AB, ("aabAB",)),
+            (Alphabet(("a", "b", "c")), ("abAB", "ac")),
+        ]
+        rng = random.Random(11)
+        found = 0
+        for alphabet, texts in presentations:
+            p = Presentation(alphabet, tuple(alphabet.parse(r) for r in texts))
+            for _ in range(25):
+                w = ()
+                for _ in range(rng.randint(0, 2)):
+                    x = random_reduced(rng, 2, alphabet)
+                    r = rng.choice(p.relators)
+                    r = r if rng.random() < 0.5 else words.inverse(r)
+                    w = words.mul(w, x, r, words.inverse(x))
+                if rng.random() < 0.3:
+                    w = words.mul(w, random_reduced(rng, 2, alphabet))
+                bound = rng.randint(0, 2)
+                area = words.dehn_area(p, w, bound)
+                assert area == capped_area(p, w, bound), (texts, w, bound)
+                found += area is not None
+        assert 40 < found < 150
+
+
+def capped_area(p, w, bound):
+    """The former dehn_area: breadth-first search storing every word of at
+    most |w| + bound * max_rel letters, those of the last step too."""
+    if not w:
+        return 0
+    if not p.relators:
+        return None
+    cap = len(w) + bound * max(len(r) for r in p.relators)
+    inserts = sorted(
+        {s[i:] + s[:i] for r in p.relators for s in (r, words.inverse(r)) for i in range(len(s))}
+    )
+    seen, frontier = {w}, deque([w])
+    for n in range(1, bound + 1):
+        nxt = deque()
+        for u in frontier:
+            for i in range(len(u) + 1):
+                for m in inserts:
+                    v = words.mul(u[:i], m, u[i:])
+                    if len(v) > cap:
+                        continue
+                    if not v:
+                        return n
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+        frontier = nxt
+    return None
