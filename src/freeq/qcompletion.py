@@ -10,11 +10,14 @@ constructors reproduce the global level-by-level picture at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from itertools import groupby
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import tower as tw
+from . import words
 from .tower import Elem, Form, ResourceCapError, Tower
 from .tower import exponent_vector as abelian_vector  # noqa: F401  re-exported
 from .words import Alphabet, CertificateError, WordSyntaxError
@@ -199,14 +202,15 @@ class _Chain:
 
     @property
     def index(self) -> int:
-        out = 1
-        for m in self.ms:
-            out *= m
-        return out
+        return math.prod(self.ms)
 
 
 class QSession:
     """Normalization context: a tower grown on demand from the Q-words seen.
+
+    `classes` maps the class_rep (a complete conjugacy invariant up to
+    inversion) of each class chain's rep and roots to (chain, scale), the
+    element being rep^scale: a root's class is one lookup, not a scan.
 
     max_level caps the root indices adjoined per class chain (denominator q
     needs indices up to q); exceeding it raises ResourceCapError.
@@ -216,7 +220,7 @@ class QSession:
         self.alphabet = alphabet
         self.tower = Tower(alphabet)
         self.max_level = max_level
-        self.chains: List[_Chain] = []
+        self.classes: Dict[Elem, Tuple[_Chain, Fraction]] = {}
 
     def canonical_text(self, e: Elem) -> str:
         return tw.serialize(self.tower, e)
@@ -242,6 +246,8 @@ class QSession:
             )
             chain.levels.append(self.tower.level)
             chain.ms.append(next_m)
+            # the new root r is its own class_rep (r, (), 1)
+            self.classes[self.tower.root(self.tower.level)] = chain, Fraction(1, chain.index)
 
     def _class_power(self, chain: _Chain, rho: Fraction) -> Elem:
         """rep^rho as a tower element."""
@@ -254,31 +260,20 @@ class QSession:
         return tw.pow_elem(self.tower, self._chain_root(chain), int(exponent))
 
     def _root_power(self, root: Elem, r: Fraction) -> Elem:
-        """root^r for a primitive cyclically reduced element."""
+        """root^r for a primitive element root = d rep^sign d^-1, rep's class
+        looked up (or a new chain): d rep^(sign scale r) d^-1.  Another d
+        differs by a centralizer element of rep, which commutes with rep^r."""
         if r.denominator == 1:
             return tw.pow_elem(self.tower, root, int(r))
-        # an existing chain may already hold this class (possibly as one of
-        # its iterated roots, or up to inversion/conjugacy)
-        for chain in self.chains:
-            candidates = [(chain.rep, Fraction(1))]
-            m_cum = 1
-            for lvl, m in zip(chain.levels, chain.ms):
-                m_cum *= m
-                candidates.append((self.tower.root(lvl), Fraction(1, m_cum)))
-            for cand, scale in candidates:
-                for sign, target in ((1, cand), (-1, tw.inv(self.tower, cand))):
-                    status, d = tw.conjugate_in_tower(self.tower, target, root)
-                    if status == tw.CONJUGATE:
-                        # d^-1 rep^(sign*scale) d = root
-                        val = self._class_power(chain, sign * scale * r)
-                        return tw.mul(self.tower, tw.inv(self.tower, d), val, d)
-        rep, c, sign = tw.class_rep(self.tower, root)
-        chain = _Chain(
-            key=tw.serialize(self.tower, rep), rep=rep, levels=[], ms=[]
-        )
-        self.chains.append(chain)
-        val = self._class_power(chain, Fraction(sign) * r)
-        return tw.mul(self.tower, c, val, tw.inv(self.tower, c))
+        x, core = tw.cyclic_decompose(self.tower, root)
+        rep, c, sign = tw.class_rep(self.tower, core)
+        if rep not in self.classes:
+            key = tw.serialize(self.tower, rep)
+            self.classes[rep] = _Chain(key=key, rep=rep, levels=[], ms=[]), Fraction(1)
+        chain, scale = self.classes[rep]
+        val = self._class_power(chain, sign * scale * r)
+        d = tw.mul(self.tower, x, c)
+        return tw.mul(self.tower, d, val, tw.inv(self.tower, d))
 
     # -- normalization
 
@@ -292,11 +287,13 @@ class QSession:
         if isinstance(node, QLetter):
             return (node.letter,)
         if isinstance(node, QProduct):
-            acc: Elem = ()
-            for f in node.factors:
-                fe = self._norm(f)  # may grow self.tower: read it only after
-                acc = tw.mul(self.tower, acc, fe)
-            return acc
+            # normalizing may grow self.tower: read it only after; each run
+            # of plain words is one free reduction, not one tw.mul per factor
+            fs = [self._norm(f) for f in node.factors]
+            parts: List[Elem] = []
+            for form, run in groupby(fs, key=lambda e: isinstance(e, Form)):
+                parts += run if form else [words.mul(*run)]
+            return tw.mul(self.tower, (), *parts)
         base = self._norm(node.base)
         r = node.exponent
         if r.denominator == 1:

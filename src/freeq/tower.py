@@ -709,7 +709,9 @@ def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
     Returns (rep, c, sign) with core = c * rep^sign * c^-1: the sort_key-least
     rotation of core or its inverse (sign 1 first, a tie to the first), where
     for a form with syllables each rotation p^-1 g p, in prefix order, stands
-    for its least twist (`_twist`, Collins' lemma) and c = p v^j.
+    for its least twist (`_twist`, Collins' lemma) and c = p v^j.  A word's n
+    rotations print n characters each, so their sort_keys are the n-slices of
+    its ranked text doubled: the least slice is read off without serializing.
     """
     ckey = ("crep", t._pid[level_of(core)], core)
     cache = t._cache("ops")
@@ -720,7 +722,9 @@ def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
     cands = []
     for sign, g in ((1, core), (-1, canonical_form(t, inv(t, core)))):
         if lvl == 0:
-            cands += [(g[i:] + g[:i], g[:i], sign) for i in range(max(1, len(g)))]
+            n, text = len(g), serialize(t, g).translate(t._order) * 2
+            i = min(range(n), key=lambda i: text[i : i + n], default=0)
+            cands.append((g[i:] + g[:i], g[:i], sign))
             continue
         for p in _prefixes(t, g):
             rep, j = _twist(t, conj(t, g, p))

@@ -154,18 +154,16 @@ def _text(w: Word) -> str:
 
 
 def extract_root(w: Word):
-    """Primitive root and maximal exponent of a cyclically reduced nonempty word."""
+    """Primitive root and maximal exponent of a cyclically reduced nonempty
+    word: its period p is the first offset > 0 at which w occurs in w doubled
+    (as in conjugacy_witness), and p divides |w|."""
     if not w:
         raise ValueError("empty word has no root")
     if cyclic_reduce(w).conjugator:
         raise ValueError("extract_root requires cyclically reduced input")
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if w[:d] * (n // d) == w:
-            return w[:d], n // d
-    raise AssertionError("unreachable")
+    text = _text(w)
+    p = (text * 2).find(text, 1)
+    return w[:p], len(w) // p
 
 
 def is_primitive(w: Word) -> bool:

@@ -689,3 +689,27 @@ class TestQwordFuzz:
                 count += 1
         assert count > 700
         assert time.perf_counter() - t0 < 10.0
+
+
+class TestQwordLongInput:
+    def test_long_words_in_budget(self, capsys):
+        # a run of plain letters is one free reduction and a word's least
+        # rotation is read off its doubled text: neither is quadratic
+        rng = random.Random(121)
+
+        def word(n):
+            out = []
+            while len(out) < n:
+                x = rng.choice("abAB")
+                if not out or out[-1] != x.swapcase():
+                    out.append(x)
+            return "".join(out)
+
+        long_word, w = word(20000), word(5000)
+        for expr in (long_word, f"({w})^(1/2)"):
+            t0 = time.perf_counter()
+            code, _ = run(capsys, "qword", "normalize", expr)
+            assert code == 0
+            assert time.perf_counter() - t0 < 5.0
+        code, doc = run_json(capsys, "qword", "equal", f"(({w})^(1/2))^2", w)
+        assert code == 0 and doc["equal"] is True

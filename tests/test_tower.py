@@ -15,7 +15,7 @@ from hypothesis import assume, given, strategies as st
 
 from freeq import tower as tw
 from freeq import words
-from freeq.qcompletion import QSession
+from freeq.qcompletion import QSession, _Chain
 from freeq.tower import ResourceCapError, Tower
 from freeq.words import Alphabet
 
@@ -181,6 +181,49 @@ def window_class_rep(t, core, k_bound=None):
             if best is None or key < best[0]:
                 best = (key, cand, d, sign)
     return best[1], best[2], best[3]
+
+
+def rotation_class_rep(t, core):
+    """class_rep at level 0 as it ran before it read the least rotation off
+    the doubled text: every rotation of the word and of its inverse
+    materialised, the sort_key-least taken (sign 1 first): the oracle for it."""
+    cands = []
+    for sign, g in ((1, core), (-1, words.inverse(core))):
+        cands += [(g[i:] + g[:i], g[:i], sign) for i in range(max(1, len(g)))]
+    return min(cands, key=lambda cand: (tw.sort_key(t, cand[0]), cand[2]))
+
+
+class ScanSession(QSession):
+    """QSession finding a root's chain as it did before the class lookup:
+    conjugate_in_tower against each chain's rep and each of its roots, in
+    both signs, chain by chain: the oracle for the lookup."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chains = []
+
+    def _root_power(self, root, r):
+        t = self.tower
+        if r.denominator == 1:
+            return tw.pow_elem(t, root, int(r))
+        for chain in self.chains:
+            candidates = [(chain.rep, Fraction(1))]
+            m_cum = 1
+            for lvl, m in zip(chain.levels, chain.ms):
+                m_cum *= m
+                candidates.append((t.root(lvl), Fraction(1, m_cum)))
+            for cand, scale in candidates:
+                for sign, target in ((1, cand), (-1, tw.inv(t, cand))):
+                    status, d = tw.conjugate_in_tower(t, target, root)
+                    if status == tw.CONJUGATE:
+                        # d^-1 rep^(sign*scale) d = root
+                        val = self._class_power(chain, sign * scale * r)
+                        return tw.mul(self.tower, tw.inv(self.tower, d), val, d)
+        rep, c, sign = tw.class_rep(t, root)
+        chain = _Chain(key=tw.serialize(t, rep), rep=rep, levels=[], ms=[])
+        self.chains.append(chain)
+        val = self._class_power(chain, Fraction(sign) * r)
+        return tw.mul(self.tower, c, val, tw.inv(self.tower, c))
 
 
 def window_conjugate(t, f1, f2, k_bound=None):
@@ -762,6 +805,70 @@ class TestTwistOracles:
         rep = tw.class_rep(t, core)[0]
         for j in range(-12, 13):
             assert tw.class_rep(t, tw.conj(t, core, tw.pow_elem(t, v, j)))[0] == rep
+
+
+def text_word(rng, n, letters="abAB"):
+    return AB.format(words.free_reduce(AB.letter(rng.choice(letters)) for _ in range(n)))
+
+
+class TestClassKeyOracles:
+    """class_rep's least-slice rotation against the rotation list, and the
+    session's class lookup against the chain scan (both kept above)."""
+
+    def test_level0_class_rep_matches_rotation_list(self):
+        # periodic cores u^k, their inverses and rotations: ties between
+        # rotations must go to the first, as in the list
+        rng = random.Random(131)
+        checked = 0
+        for alphabet in (AB, Alphabet(("a", "b", "c"))):
+            t = Tower(alphabet)
+            letters = [x for i in range(1, alphabet.size + 1) for x in (i, -i)]
+            for _ in range(150):
+                raw = [rng.choice(letters) for _ in range(rng.randint(1, 7))]
+                u = words.cyclic_reduce(words.free_reduce(raw)).core
+                if not u:
+                    continue
+                w = u * rng.choice([1, 1, 2, 3, 7, 40])
+                i = rng.randrange(len(w))
+                for core in (w, words.inverse(w), w[i:] + w[:i]):
+                    assert tw.class_rep(t, core) == rotation_class_rep(t, core), core
+                    checked += 1
+        assert checked > 600
+
+    def reuse_qwords(self, rng):
+        """Q-words reusing one class through conjugates, inverses, rotations
+        and iterated roots, in groups of three for one session."""
+        yield ["(ab)^(1/2)(BA)^(1/3)((ab)^(1/2))^(1/2)", "((ab)^(1/3))^(1/2)", "(Ba)^(1/4)"]
+        for _ in range(25):
+            u = text_word(rng, rng.randint(1, 3)) if rng.random() < 0.7 else "(ab)^(1/2)a"
+            x = text_word(rng, rng.randint(0, 2))
+            inv, xi = f"({u})^(-1)", f"({x})^(-1)"
+            fracs = ["(1/2)", "(-1/2)", "(1/3)", "(2/3)", "(-3/4)", "(1/6)"]
+            forms = [u, inv, f"{x}{u}{xi}", f"{x}{inv}{xi}", f"({u})^(1/2)", f"(({u})^(1/2))^(1/2)"]
+            yield [
+                "".join(f"({rng.choice(forms)})^{rng.choice(fracs)}" for _ in range(rng.randint(2, 3)))
+                for _ in range(3)
+            ]
+
+    def test_lookup_matches_chain_scan(self):
+        rng = random.Random(132)
+        for group in self.reuse_qwords(rng):
+            for max_level in (4, 6):
+                s, scan = QSession(AB, max_level), ScanSession(AB, max_level)
+                for q in group:
+                    texts = []
+                    for sess in (s, scan):
+                        try:
+                            texts.append(sess.canonical_text(sess.normalize(q)))
+                        except ResourceCapError as ex:
+                            texts.append(f"cap: {ex}")
+                    assert texts[0] == texts[1], q
+                # every key is its class's rep; an adjoined root is (r, (), 1)
+                for key, (chain, _) in s.classes.items():
+                    assert tw.class_rep(s.tower, key)[0] == key
+                    for lvl in chain.levels:
+                        r = s.tower.root(lvl)
+                        assert tw.class_rep(s.tower, r) == (r, (), 1)
 
 
 class TestDeepChainTwist:
