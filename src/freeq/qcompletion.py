@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import tower as tw
 from . import words
 from .tower import Elem, Form, ResourceCapError, Tower
-from .tower import exponent_vector as abelian_vector  # noqa: F401  re-exported
 from .words import Alphabet, CertificateError, WordSyntaxError
 
 
@@ -210,7 +209,8 @@ class QSession:
 
     `classes` maps the class_rep (a complete conjugacy invariant up to
     inversion) of each class chain's rep and roots to (chain, scale), the
-    element being rep^scale: a root's class is one lookup, not a scan.
+    element being rep^scale.  tower.root_class names a base's primitive root
+    by that key, so its chain is one lookup: no conjugacy test is asked.
 
     max_level caps the root indices adjoined per class chain (denominator q
     needs indices up to q); exceeding it raises ResourceCapError.
@@ -259,21 +259,13 @@ class QSession:
             raise CertificateError("class root index does not clear the denominator")
         return tw.pow_elem(self.tower, self._chain_root(chain), int(exponent))
 
-    def _root_power(self, root: Elem, r: Fraction) -> Elem:
-        """root^r for a primitive element root = d rep^sign d^-1, rep's class
-        looked up (or a new chain): d rep^(sign scale r) d^-1.  Another d
-        differs by a centralizer element of rep, which commutes with rep^r."""
-        if r.denominator == 1:
-            return tw.pow_elem(self.tower, root, int(r))
-        x, core = tw.cyclic_decompose(self.tower, root)
-        rep, c, sign = tw.class_rep(self.tower, core)
+    def _chain(self, rep: Elem) -> Tuple[_Chain, Fraction]:
+        """(chain, scale) of a class key, rep = chain.rep^scale; an unseen key
+        opens a chain of its own."""
         if rep not in self.classes:
             key = tw.serialize(self.tower, rep)
             self.classes[rep] = _Chain(key=key, rep=rep, levels=[], ms=[]), Fraction(1)
-        chain, scale = self.classes[rep]
-        val = self._class_power(chain, sign * scale * r)
-        d = tw.mul(self.tower, x, c)
-        return tw.mul(self.tower, d, val, tw.inv(self.tower, d))
+        return self.classes[rep]
 
     # -- normalization
 
@@ -294,16 +286,22 @@ class QSession:
             for form, run in groupby(fs, key=lambda e: isinstance(e, Form)):
                 parts += run if form else [words.mul(*run)]
             return tw.mul(self.tower, (), *parts)
-        base = self._norm(node.base)
-        r = node.exponent
+        return self._power(self._norm(node.base), node.exponent)
+
+    def _power(self, base: Elem, r: Fraction) -> Elem:
+        """base^r.  A fractional power reads base = x d rep^(s k) d^-1 x^-1
+        off tower.root_class: base^r = (x d) rep^(s k r) (x d)^-1, as another
+        d differs by a centralizer element of rep, which commutes with it."""
         if r.denominator == 1:
             return tw.pow_elem(self.tower, base, int(r))
         x, core = tw.cyclic_decompose(self.tower, base)
         if tw.is_trivial(core):
             return ()
-        root, k = tw.extract_root_elem(self.tower, core)
-        val = self._root_power(root, k * r)
-        return tw.mul(self.tower, x, val, tw.inv(self.tower, x))
+        rep, d, s, k = tw.root_class(self.tower, core)
+        chain, scale = self._chain(rep)
+        val = self._class_power(chain, s * scale * k * r)
+        d = tw.mul(self.tower, x, d)
+        return tw.mul(self.tower, d, val, tw.inv(self.tower, d))
 
     # -- decisions
 
@@ -386,10 +384,9 @@ def enumerate_Vn(ti: TowerIndex, n: int) -> VnTable:
             cores[core] = None
     found = {}
     for core in sorted(cores, key=lambda c: tw.sort_key(t, c)):
-        _, k = tw.extract_root_elem(t, core)
+        rep, _, _, k = tw.root_class(t, core)
         if k != 1:
             continue
-        rep, _, _ = tw.class_rep(t, core)
         key = tw.serialize(t, rep)
         if key not in found:
             found[key] = VnEntry(text=key, length=tw.elem_len(t, rep), elem=rep)

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from . import words
 from .words import Alphabet, CertificateError
@@ -40,9 +40,9 @@ MAX_POWER_LENGTH = 10**6
 # Most extension steps a tower holds (tower_level(ab, 3) has 92).  A form
 # nests only the lower forms it holds (mul, serialize and locate run on a
 # chain of 600 square roots), but _twist's digit search recurses once per
-# root of v's chain of roots, so class_rep and extract_root_elem fail with
-# RecursionError on a chain of 200 roots: extend_centralizer raises
-# ResourceCapError beyond this cap.
+# root of v's chain of roots, so class_rep fails with RecursionError on a
+# chain of 200 roots: extend_centralizer raises ResourceCapError beyond this
+# cap.
 MAX_LEVEL = 160
 
 
@@ -154,11 +154,11 @@ class Tower:
             raise ValueError("cannot extend the centralizer of the identity")
         if validate:
             # a conjugate of a power r^k, k >= 2, of an adjoined root r has
-            # root r, so extract_root_elem reports it as a proper power
+            # root r, so root_class reports it as a proper power
             x, c = cyclic_decompose(self, v)
             if not is_trivial(x):
                 raise ValueError("extension element must be cyclically minimal")
-            if extract_root_elem(self, c)[1] != 1:
+            if root_class(self, c)[3] != 1:
                 raise ValueError("extension element is a proper power, not primitive")
         if name is None:
             name = f"w{len(self.steps) + len(self.aliases) + 1}"
@@ -483,20 +483,40 @@ def cyclic_decompose(t: Tower, e: Elem) -> Tuple[Elem, Elem]:
     return mul(t, x, cw.conjugator), cw.core
 
 
-def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
-    """Primitive root in t (at its top level) and maximal exponent of a
-    cyclically reduced element: the root at c's own level, then each level
-    above it in turn, where a root conjugate to that step's v^+-1 = r^+-m is
-    replaced by the conjugate of r^+-1 and its exponent multiplied by m."""
+def root_class(t: Tower, c: Elem) -> Tuple[Elem, Elem, int, int]:
+    """(rep, d, s, k) with c = d rep^(s k) d^-1 for a cyclically reduced
+    element c, rep the class_rep key of c's primitive root in t, s = +-1.
+
+    The root at c's own level is keyed once.  Then each level above whose
+    step element v = e rep^sv e^-1 (its key cached under "vcls") has that
+    key takes over: v = r^m for the level's root r, itself a key, so the
+    root becomes (d e^-1) r^(s sv) (d e^-1)^-1 and k becomes k m.  Keys are
+    complete conjugacy invariants up to inversion (Collins' lemma with
+    `_twist` exact), so comparing them decides what a conjugacy test against
+    v^+-1 would.
+    """
     root, k = _own_root(t, canonical_form(t, c))
-    for lvl in range(level_of(root) + 1, t.level + 1):
-        step = t.step_at(lvl)
-        for target, r in ((step.v, t.root(lvl)), (inv(t, step.v), inv(t, t.root(lvl)))):
-            status, d = conjugate_in_tower(t, target, root)
-            if status == CONJUGATE:
-                root, k = conj(t, r, d), k * step.m
-                break
-    return root, k
+    x, core = cyclic_decompose(t, root)
+    rep, d, s = class_rep(t, core)
+    d = mul(t, x, d)
+    cache = t._cache("ops")
+    for lvl in range(level_of(rep) + 1, t.level + 1):
+        key = ("vcls", t._pid[lvl])
+        if key not in cache:
+            x, core = cyclic_decompose(t, t.step_at(lvl).v)
+            vrep, e, sv = class_rep(t, core)
+            cache[key] = vrep, mul(t, x, e), sv
+        vrep, e, sv = cache[key]
+        if vrep == rep:
+            rep, d, s, k = t.root(lvl), mul(t, d, inv(t, e)), s * sv, k * t.step_at(lvl).m
+    return rep, d, s, k
+
+
+def extract_root_elem(t: Tower, c: Elem) -> Tuple[Elem, int]:
+    """Primitive root in t and maximal exponent of a cyclically reduced
+    element: root_class's d rep^s d^-1 and k."""
+    rep, d, s, k = root_class(t, c)
+    return mul(t, d, pow_elem(t, rep, s), inv(t, d)), k
 
 
 def _own_root(t: Tower, c: Elem) -> Tuple[Elem, int]:
@@ -639,14 +659,23 @@ def _twist(t: Tower, g: Form) -> Tuple[Form, int]:
     return out
 
 
+def _rotations(t: Tower, g: Form) -> Iterator[Tuple[Form, Elem]]:
+    """(least twist, c) for each rotation p^-1 g p of a form, in prefix order,
+    with c = p v^j and the twist c^-1 g c (`_twist`)."""
+    for p in _prefixes(t, g):
+        twist, j = _twist(t, conj(t, g, p))
+        yield twist, mul(t, p, _vpow(t, g.level, j))
+
+
 def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem]]:
     """Conjugacy decision: (status, conjugator d with d^-1 f1 d = f2).
 
     Different exponent vectors (a conjugation invariant) mean distinct, and
     so do cyclic cores at different levels.  Cores with syllables follow
-    Collins' lemma (Lyndon-Schupp IV.2.8): each rotation p^-1 c1 p, in prefix
-    order, is compared with c2 through their least twists (`_twist`); equal
-    ones give d = p v^(jp - j2), and no match proves the pair distinct.
+    Collins' lemma (Lyndon-Schupp IV.2.8): each rotation of c1, in prefix
+    order (`_rotations`), is compared with c2 through their least twists;
+    the first match, c^-1 c1 c = v^-j2 c2 v^j2, gives d = c v^-j2, and no
+    match proves the pair distinct.
     """
     if exponent_vector(t, f1) != exponent_vector(t, f2):
         return DISTINCT, None
@@ -665,41 +694,15 @@ def conjugate_in_tower(t: Tower, f1: Elem, f2: Elem) -> Tuple[str, Optional[Elem
     if lvl == 0:
         d = words.conjugacy_witness(c1, c2)
         return finish(d) if d is not None else (DISTINCT, None)
+    if c1 == c2:  # the twists need not be computed
+        return finish(())
     if c1.ss not in [c2.ss[i:] + c2.ss[:i] for i in range(len(c2.ss))]:
         return DISTINCT, None
-    for p in _prefixes(t, c1):
-        rot = conj(t, c1, p)
-        if rot == c2:  # jp = j2: the twists need not be computed
-            return finish(p)
-        (tp, jp), (t2, j2) = _twist(t, rot), _twist(t, c2)
+    t2, j2 = _twist(t, c2)
+    for tp, c in _rotations(t, c1):
         if tp == t2:
-            return finish(mul(t, p, _vpow(t, lvl, jp - j2)))
+            return finish(mul(t, c, _vpow(t, lvl, -j2)))
     return DISTINCT, None
-
-
-# -- name resolution for raw symbol sequences --------------------------------
-
-
-def resolve_symbol(t: Tower, name: str) -> Elem:
-    """Base letter, root name, or alias name -> element (at its own level)."""
-    low = name.lower()
-    if len(name) == 1 and low in t.base.names:
-        return (t.base.letter(name),)
-    for i, step in enumerate(t.steps):
-        if step.name == name:
-            return t.root(i + 1)
-    for alias, e in t.aliases:
-        if alias == name:
-            return e
-    raise ValueError(f"unknown symbol {name!r}")
-
-
-def reduce_to_semicanonical(t: Tower, raw) -> Elem:
-    """Fold a sequence of (symbol name, integer exponent) into canonical form."""
-    out: Elem = ()
-    for name, exp in raw:
-        out = mul(t, out, pow_elem(t, resolve_symbol(t, name), exp))
-    return canonical_form(t, out)
 
 
 def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
@@ -708,10 +711,10 @@ def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
 
     Returns (rep, c, sign) with core = c * rep^sign * c^-1: the sort_key-least
     rotation of core or its inverse (sign 1 first, a tie to the first), where
-    for a form with syllables each rotation p^-1 g p, in prefix order, stands
-    for its least twist (`_twist`, Collins' lemma) and c = p v^j.  A word's n
-    rotations print n characters each, so their sort_keys are the n-slices of
-    its ranked text doubled: the least slice is read off without serializing.
+    for a form with syllables each rotation stands for its least twist
+    (`_rotations`, Collins' lemma).  A word's n rotations print n characters
+    each, so their sort_keys are the n-slices of its ranked text doubled: the
+    least slice is read off without serializing.
     """
     ckey = ("crep", t._pid[level_of(core)], core)
     cache = t._cache("ops")
@@ -726,9 +729,7 @@ def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
             i = min(range(n), key=lambda i: text[i : i + n], default=0)
             cands.append((g[i:] + g[:i], g[:i], sign))
             continue
-        for p in _prefixes(t, g):
-            rep, j = _twist(t, conj(t, g, p))
-            cands.append((rep, mul(t, p, _vpow(t, lvl, j)), sign))
+        cands += [(rep, c, sign) for rep, c in _rotations(t, g)]
     out = rep, c, sign = min(cands, key=lambda cand: (sort_key(t, cand[0]), cand[2]))
     # rep = c^-1 g c with g = core^sign, hence core = (c rep c^-1)^sign
     if not equal(t, mul(t, c, pow_elem(t, rep, sign), inv(t, c)), core):

@@ -214,7 +214,7 @@ class TestConjugacy:
             p, q = qword(), qword()
             s = session()
             status, _ = s.q_conjugate(p, q)
-            vectors = [qc.abelian_vector(s.tower, s.normalize(x)) for x in (p, q)]
+            vectors = [tw.exponent_vector(s.tower, s.normalize(x)) for x in (p, q)]
             if vectors[0] != vectors[1]:
                 differ += 1
                 assert status == tw.DISTINCT, (p, q)
@@ -248,6 +248,26 @@ def test_vn3_cache_entries(monkeypatch):
     assert len(ti.tower._caches["ops"]) < 16_000
 
 
+def test_roots_ask_no_conjugacy_question(monkeypatch):
+    # a fractional power's root and class are read off class keys
+    # (tower.root_class), so conjugate_in_tower runs only for q_conjugate
+    calls = []
+    search = tw.conjugate_in_tower
+    monkeypatch.setattr(tw, "conjugate_in_tower", lambda *args: calls.append(args) or search(*args))
+    monkeypatch.setattr(qc, "_tower_levels", {})
+    s = session(max_level=6)
+    fixed = ["((ab)^(1/2))^(1/3)", "a((ab)^(1/2))^(1/3)A", "((BA)^(1/3))^(-1/2)", "(ba)^(5/6)"]
+    rng = random.Random(142)
+    seeded = [random_qword(rng, depth_budget=3) for _ in range(40)]
+    for q in fixed + seeded + [f"({x})^(-1)({q})({x})" for q, x in zip(seeded, fixed)]:
+        s.normalize(q)
+    assert s.tower.level >= 6
+    qc.tower_level(AB, 3)
+    assert calls == []
+    status, _ = s.q_conjugate("((ab)^(1/2))^(1/3)", "a((ba)^(1/2))^(1/3)A")
+    assert status == tw.CONJUGATE and calls
+
+
 class TestLocate:
     def test_base_word(self):
         s = session()
@@ -268,7 +288,7 @@ class TestAbelianVector:
     def test_fractional_counts(self):
         s = session()
         e = s.normalize("(ab)^(1/2)")
-        assert qc.abelian_vector(s.tower, e) == (Fraction(1, 2), Fraction(1, 2))
+        assert tw.exponent_vector(s.tower, e) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_conjugation_invariant(self):
         s = session()
@@ -278,7 +298,7 @@ class TestAbelianVector:
             x = random_qword(rng, depth_budget=1)
             e1 = s.normalize(g)
             e2 = s.normalize(f"({x})^(-1)({g})({x})")
-            assert qc.abelian_vector(s.tower, e1) == qc.abelian_vector(s.tower, e2)
+            assert tw.exponent_vector(s.tower, e1) == tw.exponent_vector(s.tower, e2)
 
 
 class TestTables:

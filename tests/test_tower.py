@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from freeq import tower as tw
+from freeq import cli, tower as tw
 from freeq import words
 from freeq.qcompletion import QSession, _Chain
 from freeq.tower import ResourceCapError, Tower
@@ -37,7 +37,15 @@ def random_elem(rng, t, n_factors=4, max_exp=2):
     raw = []
     for _ in range(rng.randint(1, n_factors)):
         raw.append((rng.choice(symbols), rng.choice([-2, -1, 1, 2][: 2 * max_exp])))
-    return tw.reduce_to_semicanonical(t, raw)
+    return semicanonical(t, raw)
+
+
+def semicanonical(t, raw):
+    """Fold a sequence of (symbol name, integer exponent), each symbol a base
+    letter or a root's name, into canonical form."""
+    gens = {name: (t.base.letter(name),) for name in t.base.names}
+    gens.update((step.name, t.root(lvl)) for lvl, step in enumerate(t.steps, 1))
+    return tw.mul(t, (), *(tw.pow_elem(t, gens[name], e) for name, e in raw))
 
 
 def tower_chain(alphabet):
@@ -193,14 +201,44 @@ def rotation_class_rep(t, core):
     return min(cands, key=lambda cand: (tw.sort_key(t, cand[0]), cand[2]))
 
 
+def scan_extract_root_elem(t, c):
+    """extract_root_elem as it ran before tower.root_class: the root at c's
+    own level, then two conjugacy questions per level above it, a root
+    conjugate to that step's v^+-1 = r^+-m replaced by the conjugate of
+    r^+-1 and its exponent multiplied by m: the oracle for root_class."""
+    root, k = tw._own_root(t, tw.canonical_form(t, c))
+    for lvl in range(tw.level_of(root) + 1, t.level + 1):
+        step = t.step_at(lvl)
+        for target, r in ((step.v, t.root(lvl)), (tw.inv(t, step.v), tw.inv(t, t.root(lvl)))):
+            status, d = tw.conjugate_in_tower(t, target, root)
+            if status == tw.CONJUGATE:
+                root, k = tw.conj(t, r, d), k * step.m
+                break
+    return root, k
+
+
 class ScanSession(QSession):
-    """QSession finding a root's chain as it did before the class lookup:
+    """QSession taking a fractional power as it did before the class keys:
+    the root from scan_extract_root_elem, its chain found by
     conjugate_in_tower against each chain's rep and each of its roots, in
-    both signs, chain by chain: the oracle for the lookup."""
+    both signs, chain by chain: the oracle for root_class and the lookup.
+    `scans` counts the fractional powers it took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.chains = []
+        self.scans = 0
+
+    def _power(self, base, r):
+        if r.denominator == 1:
+            return super()._power(base, r)
+        self.scans += 1
+        x, core = tw.cyclic_decompose(self.tower, base)
+        if tw.is_trivial(core):
+            return ()
+        root, k = scan_extract_root_elem(self.tower, core)
+        val = self._root_power(root, k * r)
+        return tw.mul(self.tower, x, val, tw.inv(self.tower, x))
 
     def _root_power(self, root, r):
         t = self.tower
@@ -364,13 +402,13 @@ class TestRelation:
 class TestSemicanonical:
     def test_waw_form(self):
         t = e2_tower()
-        f = tw.reduce_to_semicanonical(t, [("w", 1), ("a", 1), ("w", 1)])
+        f = semicanonical(t, [("w", 1), ("a", 1), ("w", 1)])
         assert f.syllable_count == 2
         assert all(s == Fraction(1, 2) for s in f.ss)
 
     def test_ww_collapses(self):
         t = e2_tower()
-        f = tw.reduce_to_semicanonical(t, [("w", 2)])
+        f = semicanonical(t, [("w", 2)])
         assert f == (1, 2)
 
     def test_invariants_random(self):
@@ -643,7 +681,7 @@ def tower_elem(which, lvl, raw):
     choices over the base letters and the roots up to that level."""
     t = property_towers()[which][lvl]
     symbols = list(t.base.names) + [s.name for s in t.steps]
-    return t, tw.reduce_to_semicanonical(t, [(symbols[i % len(symbols)], e) for i, e in raw])
+    return t, semicanonical(t, [(symbols[i % len(symbols)], e) for i, e in raw])
 
 
 def syllable_core(t, e):
@@ -863,12 +901,66 @@ class TestClassKeyOracles:
                         except ResourceCapError as ex:
                             texts.append(f"cap: {ex}")
                     assert texts[0] == texts[1], q
+                assert scan.scans >= len(group)
                 # every key is its class's rep; an adjoined root is (r, (), 1)
                 for key, (chain, _) in s.classes.items():
                     assert tw.class_rep(s.tower, key)[0] == key
                     for lvl in chain.levels:
                         r = s.tower.root(lvl)
                         assert tw.class_rep(s.tower, r) == (r, (), 1)
+
+
+def file_tower(steps):
+    """The tower a construction file with these (v, m) steps describes: each
+    v a Q-word over the tower so far, each step validated."""
+    obj = {"base": {"generators": ["a", "b"]}, "steps": [{"v": v, "m": m} for v, m in steps]}
+    return cli._read_tower(obj, "#")
+
+
+class TestRootClassOracle:
+    """root_class's key walk against the conjugacy climb it replaced (kept
+    above as scan_extract_root_elem), at levels 1-5."""
+
+    def towers(self):
+        def root(lvl, sign=1):
+            return lambda t: t.root(lvl) if sign > 0 else tw.inv(t, t.root(lvl))
+
+        # the chains over ab and aB interleaved, one through an inverse root
+        interleaved = [Tower(AB)]
+        spec = [(lambda t: (1, 2), 2), (lambda t: (1, -2), 3), (root(1), 3), (root(2, -1), 2), (root(3), 2)]
+        for make, m in spec:
+            interleaved.append(interleaved[-1].extend_centralizer(make(interleaved[-1]), m))
+        files = [
+            [("ab", 2), ("(ab)^(1/2)", 3), ("aB", 2), ("((ab)^(1/2))^(1/3)", 2)],
+            [("b", 2), ("b^(1/2)a", 2), ("(b^(1/2)a)^(1/2)", 3), ("aB", 2)],
+        ]
+        out = [interleaved] + property_towers() + oracle_towers()
+        return [t for towers in out for t in towers[1:]] + [file_tower(f) for f in files]
+
+    def test_extract_root_matches_scan(self):
+        rng = random.Random(151)
+        checked = 0
+        for t in self.towers():
+            assert 1 <= t.level <= 5
+            elems = [random_elem(rng, t, n_factors=3) for _ in range(4)]
+            for lvl in range(1, t.level + 1):
+                x = random_elem(rng, t, n_factors=2)
+                for kk in (1, -1, 2, -3):
+                    r = tw.pow_elem(t, t.root(lvl), kk)
+                    elems += [r, tw.conj(t, r, x), tw.conj(t, tw.pow_elem(t, t.step_at(lvl).v, kk), x)]
+            for e in elems:
+                for n in (1, 2):
+                    _, c = tw.cyclic_decompose(t, tw.pow_elem(t, e, n))
+                    if tw.is_trivial(c):
+                        continue
+                    root, k = tw.extract_root_elem(t, c)
+                    assert (root, k) == scan_extract_root_elem(t, c), tw.serialize(t, c)
+                    rep, d, s, k_rep = tw.root_class(t, c)
+                    assert k_rep == k and s in (1, -1)
+                    assert tw.class_rep(t, tw.cyclic_decompose(t, root)[1])[0] == rep
+                    assert tw.mul(t, d, tw.pow_elem(t, rep, s * k), tw.inv(t, d)) == c
+                    checked += 1
+        assert checked > 500
 
 
 class TestDeepChainTwist:
@@ -909,7 +1001,7 @@ class TestDeepChainTwist:
         checked = 0
         while checked < 12:
             raw = [(rng.choice(symbols), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(2, 6))]
-            core = syllable_core(t, tw.reduce_to_semicanonical(t, raw))
+            core = syllable_core(t, semicanonical(t, raw))
             if core is None or core.level != t.level:
                 continue
             for p in tw._prefixes(t, core):
@@ -1032,7 +1124,8 @@ tw.equal = lambda t, a, b: False
 probe("conjugate_in_tower", lambda: tw.conjugate_in_tower(t0, (1, 2), (2, 1)))
 probe("class_rep level 1", lambda: tw.class_rep(t1, t1.root(1)))
 words.mul = lambda *ws: ()
-probe("class_rep level 0", lambda: tw.class_rep(t0, (1, 2)))
+# a fresh tower: building t1 cached the class of ab in t0's caches
+probe("class_rep level 0", lambda: tw.class_rep(tw.Tower(Alphabet(("a", "b"))), (1, 2)))
 
 words.mul = mul
 session = qcompletion.QSession(Alphabet(("a", "b")))
