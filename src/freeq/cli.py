@@ -265,15 +265,20 @@ def _read_tower(obj: dict, at: str) -> Tower:
     a = Alphabet(tuple(gens))
     if relators:
         raise InputError("invalid-input", "tower base must be a free presentation")
-    t = Tower(a)
+    session = QSession(a)
     for i, (v, m, name) in enumerate(steps):
-        session = QSession(a)
-        session.tower = t
         try:
-            t = session.tower.extend_centralizer(session.normalize(v), m, name=name)
+            # normalizing v may adjoin the roots it names: extend after it,
+            # and when v lies in the tower as it was, extend that tower
+            t = session.tower
+            v = session.normalize(v)
+            if tower.level_of(v) <= t.level:
+                session.tower = t
+                session.roots = {r: c for r, c in session.roots.items() if r.level <= t.level}
+            session.tower = session.tower.extend_centralizer(v, m, name=name)
         except ValueError as ex:
             raise InputError("invalid-input", f"step {i}: {ex}")
-    return t
+    return session.tower
 
 
 _READERS = {"hnn": _read_hnn, "amalgam": _read_amalgam, "tower": _read_tower}

@@ -10,7 +10,6 @@ constructors reproduce the global level-by-level picture at desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -189,28 +188,15 @@ def locate(t: Tower, e: Elem) -> int:
 # -- lazy per-query sessions -------------------------------------------------
 
 
-@dataclass
-class _Chain:
-    """Iterated roots of one conjugacy-class representative: m = 2, 3, 4, ...
-    so every small denominator eventually divides the cumulative index."""
-
-    key: str
-    rep: Elem  # at its own level
-    levels: List[int]
-    ms: List[int]
-
-    @property
-    def index(self) -> int:
-        return math.prod(self.ms)
-
-
 class QSession:
     """Normalization context: a tower grown on demand from the Q-words seen.
 
-    `classes` maps the class_rep (a complete conjugacy invariant up to
-    inversion) of each class chain's rep and roots to (chain, scale), the
-    element being rep^scale.  tower.root_class names a base's primitive root
-    by that key, so its chain is one lookup: no conjugacy test is asked.
+    tower.root_class names a base's primitive root by its class key and
+    follows it up to the top root the tower holds for that class, so a
+    class's chain of roots is read off the tower.  `roots` records each root
+    this session adjoined (m = 2, 3, 4, ... up one class chain, so every
+    small denominator eventually divides the chain's index) with its chain's
+    key, the text of the class rep, and the chain's index at that root.
 
     max_level caps the root indices adjoined per class chain (denominator q
     needs indices up to q); exceeding it raises ResourceCapError.
@@ -220,52 +206,10 @@ class QSession:
         self.alphabet = alphabet
         self.tower = Tower(alphabet)
         self.max_level = max_level
-        self.classes: Dict[Elem, Tuple[_Chain, Fraction]] = {}
+        self.roots: Dict[Elem, Tuple[str, int]] = {}
 
     def canonical_text(self, e: Elem) -> str:
         return tw.serialize(self.tower, e)
-
-    # -- class chains
-
-    def _chain_root(self, chain: _Chain) -> Elem:
-        if not chain.levels:
-            return chain.rep
-        return self.tower.root(chain.levels[-1])
-
-    def _ensure_denominator(self, chain: _Chain, q: int):
-        while chain.index % q:
-            next_m = chain.ms[-1] + 1 if chain.ms else 2
-            if next_m > self.max_level:
-                raise ResourceCapError(
-                    f"denominator {q} needs root index {next_m} "
-                    f"> max_level {self.max_level} for class {chain.key}"
-                )
-            base = self._chain_root(chain)
-            self.tower = self.tower.extend_centralizer(
-                base, next_m, name=f"r{next_m}[{chain.key}]", validate=False
-            )
-            chain.levels.append(self.tower.level)
-            chain.ms.append(next_m)
-            # the new root r is its own class_rep (r, (), 1)
-            self.classes[self.tower.root(self.tower.level)] = chain, Fraction(1, chain.index)
-
-    def _class_power(self, chain: _Chain, rho: Fraction) -> Elem:
-        """rep^rho as a tower element."""
-        if rho.denominator == 1:
-            return tw.pow_elem(self.tower, chain.rep, int(rho))
-        self._ensure_denominator(chain, rho.denominator)
-        exponent = rho * chain.index
-        if exponent.denominator != 1:
-            raise CertificateError("class root index does not clear the denominator")
-        return tw.pow_elem(self.tower, self._chain_root(chain), int(exponent))
-
-    def _chain(self, rep: Elem) -> Tuple[_Chain, Fraction]:
-        """(chain, scale) of a class key, rep = chain.rep^scale; an unseen key
-        opens a chain of its own."""
-        if rep not in self.classes:
-            key = tw.serialize(self.tower, rep)
-            self.classes[rep] = _Chain(key=key, rep=rep, levels=[], ms=[]), Fraction(1)
-        return self.classes[rep]
 
     # -- normalization
 
@@ -298,10 +242,28 @@ class QSession:
         if tw.is_trivial(core):
             return ()
         rep, d, s, k = tw.root_class(self.tower, core)
-        chain, scale = self._chain(rep)
-        val = self._class_power(chain, s * scale * k * r)
+        root, e = self._adjoin(rep, s * k * r)
+        if e.denominator != 1:
+            raise CertificateError("class root index does not clear the denominator")
         d = tw.mul(self.tower, x, d)
-        return tw.mul(self.tower, d, val, tw.inv(self.tower, d))
+        return tw.mul(self.tower, d, tw.pow_elem(self.tower, root, int(e)), tw.inv(self.tower, d))
+
+    def _adjoin(self, rep: Elem, e: Fraction) -> Tuple[Elem, Fraction]:
+        """(root, e m) with rep^e = root^(e m) whole: roots adjoined on top of
+        rep, the top root of its class chain, with m one more than rep's own
+        m over a root this session adjoined and m = 2 over any other rep."""
+        key, index = self.roots.get(rep) or (tw.serialize(self.tower, rep), 1)
+        while e.denominator != 1:
+            m = self.tower.step_at(rep.level).m + 1 if rep in self.roots else 2
+            if m > self.max_level:
+                raise ResourceCapError(
+                    f"denominator {(e / index).denominator} needs root index {m} "
+                    f"> max_level {self.max_level} for class {key}"
+                )
+            self.tower = self.tower.extend_centralizer(rep, m, name=f"r{m}[{key}]", validate=False)
+            rep, index, e = self.tower.root(self.tower.level), index * m, e * m
+            self.roots[rep] = key, index
+        return rep, e
 
     # -- decisions
 
@@ -352,6 +314,12 @@ class TowerIndex:
         return tuple(self.tower.base.names) + tuple(s.name for s in self.tower.steps)
 
 
+# Most products of at most n letters enumerate_Vn forms: V_3 over ab forms
+# 12^3 = 1,728, over abc 24^3 = 13,824; V_4 at level 3 over ab would form
+# 188^4, about 1.2e9.
+MAX_VN_PRODUCTS = 10**6
+
+
 def enumerate_Vn(ti: TowerIndex, n: int) -> VnTable:
     """Conjugacy-class representatives of primitive elements of length <= n
     at the given tower level, inverse classes identified, shortlex order."""
@@ -364,6 +332,11 @@ def enumerate_Vn(ti: TowerIndex, n: int) -> VnTable:
     for g in gens:
         letters.append(g)
         letters.append(tw.inv(t, g))
+    if len(letters) ** n > MAX_VN_PRODUCTS:
+        raise ResourceCapError(
+            f"V_{n} over {len(letters)} letters would form {len(letters)}^{n} products, "
+            f"more than {MAX_VN_PRODUCTS}"
+        )
     seen = {()}
     frontier = list(seen)
     for _ in range(n):

@@ -153,10 +153,12 @@ class Tower:
         if is_trivial(v):
             raise ValueError("cannot extend the centralizer of the identity")
         if validate:
-            # a conjugate of a power r^k, k >= 2, of an adjoined root r has
-            # root r, so root_class reports it as a proper power
-            x, c = cyclic_decompose(self, v)
-            if not is_trivial(x):
+            # v need only be as short as its cyclic core, as are the class
+            # reps tower_level extends by (a(ab)^(1/2) is not cyclically
+            # reduced); a conjugate of a power r^k, k >= 2, of an adjoined
+            # root r has root r, so root_class reports it as a proper power
+            c = cyclic_decompose(self, v)[1]
+            if elem_len(self, c) != elem_len(self, v):
                 raise ValueError("extension element must be cyclically minimal")
             if root_class(self, c)[3] != 1:
                 raise ValueError("extension element is a proper power, not primitive")

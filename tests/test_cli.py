@@ -11,8 +11,11 @@ import time
 import pytest
 
 import freeq
-from freeq import cli, tower
+from freeq import cli, qcompletion, tower
 from freeq.qcompletion import MAX_NESTING
+from freeq.words import Alphabet
+
+AB = Alphabet(("a", "b"))
 
 
 def run(capsys, *argv):
@@ -340,6 +343,9 @@ def malformed_files():
         ("amalgam-not-iso", "amalgam", edit(AMALGAM, "iso", value=[["xx", "yy"]])),
         ("tower-proper-power", "tower", edit(TOWER, "steps", 0, "v", value="abab")),
         ("tower-identity", "tower", edit(TOWER, "steps", 0, "v", value="1")),
+        ("tower-longer-than-cyclic-core", "tower", edit(TOWER, "steps", 0, "v", value="aabA")),
+        ("tower-longer-than-cyclic-core-level-1", "tower",
+         edit(TOWER, "steps", value=TOWER["steps"] + [{"v": "a(ab)^(1/2)A", "m": 2}])),
         ("tower-unparsable-v", "tower", edit(TOWER, "steps", 0, "v", value="(a")),
         ("tower-unknown-letter", "tower", edit(TOWER, "steps", 0, "v", value="c")),
     ]:
@@ -470,6 +476,53 @@ class TestTower:
             }
         }
 
+    def test_step_over_a_root_it_adjoins(self, capsys, tmp_path):
+        # (ab)^(1/4) needs a square root of the step's root (ab)^(1/2): the
+        # session reading the file adjoins it, then the step's cube root
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(edit(TOWER, "steps", value=[{"v": "ab", "m": 2}, {"v": "(ab)^(1/4)", "m": 3}])))
+        code, out = run(capsys, "tower", "show", str(path))
+        assert code == 0
+        assert out == (
+            'base: ["a", "b"]\n'
+            "level: 3\n"
+            'steps: [{"m": 2, "name": "w1", "root": "(ab)^(1/2)", "v": "ab"}, '
+            '{"m": 2, "name": "r2[(ab)^(1/2)]", "root": "((ab)^(1/2))^(1/2)", "v": "(ab)^(1/2)"}, '
+            '{"m": 3, "name": "w3", "root": "(((ab)^(1/2))^(1/2))^(1/3)", "v": "((ab)^(1/2))^(1/2)"}]\n'
+            "aliases: []\n"
+        )
+
+    def test_drops_roots_v_does_not_need(self, capsys, tmp_path):
+        # ((ab)^(1/2))^2 is ab: the square root of ab it names is not kept,
+        # and the session forgets it, so the chain over w1 = (a)^(1/2),
+        # at the level that root had, starts at m = 2
+        path = tmp_path / "t.json"
+        for steps, want in [
+            ([("((ab)^(1/2))^2", 2)], [("w1", "ab")]),
+            (
+                [("(ab)^(1/2)(ab)^(-1/2)a", 2), ("(a)^(1/4)", 3)],
+                [("w1", "a"), ("r2[(a)^(1/2)]", "(a)^(1/2)"), ("w3", "((a)^(1/2))^(1/2)")],
+            ),
+        ]:
+            path.write_text(json.dumps(edit(TOWER, "steps", value=[{"v": v, "m": m} for v, m in steps])))
+            code, doc = run_json(capsys, "tower", "show", str(path))
+            assert code == 0
+            assert [(st["name"], st["v"]) for st in doc["steps"]] == want
+
+    def test_restates_t3(self, capsys, tmp_path):
+        # T_2's four steps, then each V_3 entry at m = 3: tower_level's own
+        # steps, some of them (a(ab)^(1/2)) not cyclically reduced
+        t2 = qcompletion.tower_level(AB, 2).tower
+        v3 = list(qcompletion.tower_level(AB, 3).tables[2].texts)
+        steps = [{"v": tower.serialize(t2, st.v), "m": st.m} for st in t2.steps] + [{"v": v, "m": 3} for v in v3]
+        path = tmp_path / "t3.json"
+        path.write_text(json.dumps(edit(TOWER, "steps", value=steps)))
+        code, doc = run_json(capsys, "tower", "show", str(path))
+        assert code == 0
+        assert doc["level"] == 92
+        assert [st["v"] for st in doc["steps"][4:]] == v3
+        assert "a(ab)^(1/2)" in v3
+
 
 class TestVn:
     def test_list_v2(self, capsys):
@@ -484,6 +537,17 @@ class TestVn:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         assert doc["error"] == {"code": "resource-cap", "message": "tower level 4 exceeds max_level 3"}
+
+    def test_product_cap(self, capsys):
+        # V_4 over the 94 generators of T_3 would form 188^4 products
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "vn", "list", "--n", "4", "--max-level", "4")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 3
+        assert doc["error"] == {
+            "code": "resource-cap",
+            "message": "V_4 over 188 letters would form 188^4 products, more than 1000000",
+        }
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_n_below_one(self, capsys, n):

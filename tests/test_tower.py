@@ -2,6 +2,7 @@
 alternating syllable forms, coset representatives, cyclic reduction, root
 extraction, and conjugacy with certificates."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import assume, given, strategies as st
 
 from freeq import cli, tower as tw
 from freeq import words
-from freeq.qcompletion import QSession, _Chain
+from freeq.qcompletion import QSession
 from freeq.tower import ResourceCapError, Tower
 from freeq.words import Alphabet
 
@@ -217,12 +218,28 @@ def scan_extract_root_elem(t, c):
     return root, k
 
 
+@dataclasses.dataclass
+class Chain:
+    """Iterated roots of one conjugacy-class representative, m = 2, 3, 4, ...,
+    as QSession kept them before it read its chains off tower.root_class."""
+
+    key: str
+    rep: object  # at its own level
+    levels: list
+    ms: list
+
+    @property
+    def index(self):
+        return math.prod(self.ms)
+
+
 class ScanSession(QSession):
     """QSession taking a fractional power as it did before the class keys:
     the root from scan_extract_root_elem, its chain found by
     conjugate_in_tower against each chain's rep and each of its roots, in
-    both signs, chain by chain: the oracle for root_class and the lookup.
-    `scans` counts the fractional powers it took."""
+    both signs, chain by chain, and each chain's roots kept in a Chain: the
+    oracle for root_class, the lookup and the root record.  `scans` counts
+    the fractional powers it took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -258,10 +275,34 @@ class ScanSession(QSession):
                         val = self._class_power(chain, sign * scale * r)
                         return tw.mul(self.tower, tw.inv(self.tower, d), val, d)
         rep, c, sign = tw.class_rep(t, root)
-        chain = _Chain(key=tw.serialize(t, rep), rep=rep, levels=[], ms=[])
+        chain = Chain(key=tw.serialize(t, rep), rep=rep, levels=[], ms=[])
         self.chains.append(chain)
         val = self._class_power(chain, Fraction(sign) * r)
         return tw.mul(self.tower, c, val, tw.inv(self.tower, c))
+
+    def _chain_root(self, chain):
+        return self.tower.root(chain.levels[-1]) if chain.levels else chain.rep
+
+    def _ensure_denominator(self, chain, q):
+        while chain.index % q:
+            next_m = chain.ms[-1] + 1 if chain.ms else 2
+            if next_m > self.max_level:
+                raise ResourceCapError(
+                    f"denominator {q} needs root index {next_m} "
+                    f"> max_level {self.max_level} for class {chain.key}"
+                )
+            self.tower = self.tower.extend_centralizer(
+                self._chain_root(chain), next_m, name=f"r{next_m}[{chain.key}]", validate=False
+            )
+            chain.levels.append(self.tower.level)
+            chain.ms.append(next_m)
+
+    def _class_power(self, chain, rho):
+        """rep^rho as a tower element."""
+        if rho.denominator == 1:
+            return tw.pow_elem(self.tower, chain.rep, int(rho))
+        self._ensure_denominator(chain, rho.denominator)
+        return tw.pow_elem(self.tower, self._chain_root(chain), int(rho * chain.index))
 
 
 def window_conjugate(t, f1, f2, k_bound=None):
@@ -902,12 +943,51 @@ class TestClassKeyOracles:
                             texts.append(f"cap: {ex}")
                     assert texts[0] == texts[1], q
                 assert scan.scans >= len(group)
-                # every key is its class's rep; an adjoined root is (r, (), 1)
-                for key, (chain, _) in s.classes.items():
-                    assert tw.class_rep(s.tower, key)[0] == key
-                    for lvl in chain.levels:
-                        r = s.tower.root(lvl)
-                        assert tw.class_rep(s.tower, r) == (r, (), 1)
+                # each recorded root is its own class rep (r, (), 1); a chain
+                # opens over a class key, the text of which names the chain
+                for r, (key, index) in s.roots.items():
+                    assert tw.class_rep(s.tower, r) == (r, (), 1)
+                    step = s.tower.step_at(r.level)
+                    if step.v in s.roots:
+                        assert s.roots[step.v] == (key, index // step.m)
+                    else:
+                        assert tw.class_rep(s.tower, step.v)[0] == step.v
+                        assert (tw.serialize(s.tower, step.v), index) == (key, 2)
+
+    def test_steps_match_chain_oracle(self):
+        # 120 seeded sessions of 2-4 Q-words: the roots a session adjoins,
+        # as (name, m, v) steps in order, and its cap messages are the
+        # former chains'
+        rng = random.Random(151)
+        fracs = ["1/2", "-1/2", "1/3", "2/3", "3/4", "-1/4", "1/5", "5/6", "1/12"]
+
+        def qword():
+            u = text_word(rng, rng.randint(1, 4))
+            x = text_word(rng, rng.randint(0, 2))
+            for _ in range(rng.randint(0, 2)):
+                u = rng.choice([f"({u})^({rng.choice(fracs)})", f"({u})^(-1)", f"{x}({u}){x.swapcase()[::-1]}"])
+            return u
+
+        caps = 0
+        for i in range(120):
+            max_level = (2, 3, 4, 6)[i % 4]
+            s, scan = QSession(AB, max_level), ScanSession(AB, max_level)
+            for _ in range(rng.randint(2, 4)):
+                q = "".join(f"({qword()})^({rng.choice(fracs)})" for _ in range(rng.randint(1, 3)))
+                texts = []
+                for sess in (s, scan):
+                    try:
+                        texts.append(sess.canonical_text(sess.normalize(q)))
+                    except ResourceCapError as ex:
+                        texts.append(f"cap: {ex}")
+                assert texts[0] == texts[1], q
+                caps += texts[0].startswith("cap: ")
+            steps = [
+                [(step.name, step.m, tw.serialize(sess.tower, step.v)) for step in sess.tower.steps]
+                for sess in (s, scan)
+            ]
+            assert steps[0] == steps[1]
+        assert caps >= 100
 
 
 def file_tower(steps):
@@ -1104,7 +1184,7 @@ from fractions import Fraction
 from freeq import constructions as cs, homs, qcompletion, tower as tw, words
 from freeq.words import Alphabet, Presentation
 
-mul = words.mul
+mul, equal = words.mul, tw.equal
 if __debug__:
     sys.exit("expected python -O")
 t0 = tw.Tower(Alphabet(("a", "b")))
@@ -1127,11 +1207,11 @@ words.mul = lambda *ws: ()
 # a fresh tower: building t1 cached the class of ab in t0's caches
 probe("class_rep level 0", lambda: tw.class_rep(tw.Tower(Alphabet(("a", "b"))), (1, 2)))
 
-words.mul = mul
+words.mul, tw.equal = mul, equal
 session = qcompletion.QSession(Alphabet(("a", "b")))
-session._ensure_denominator = lambda chain, q: None
-chain = qcompletion._Chain("a", (1,), [], [])
-probe("_class_power", lambda: session._class_power(chain, Fraction(1, 2)))
+# adjoining no root leaves a^(1/2) with a denominator
+session._adjoin = lambda rep, e: (rep, e)
+probe("QSession._power", lambda: session._power((1,), Fraction(1, 2)))
 AB, X, Y = (Presentation(Alphabet(tuple(n)), ()) for n in ("ab", "x", "y"))
 homs.hnn_is_identity = lambda ctx, tokens: False
 probe("hnn intersection witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, ((1,),), ((1, 1),))))
@@ -1154,7 +1234,7 @@ def test_certificate_checks_survive_O():
         "conjugate_in_tower raised",
         "class_rep level 1 raised",
         "class_rep level 0 raised",
-        "_class_power raised",
+        "QSession._power raised",
         "hnn intersection witness raised",
         "hnn pair witness raised",
         "amalgam pair witness raised",
