@@ -353,12 +353,11 @@ def _cmd_vn_list(args, out: _Output) -> int:
     a = _alphabet(args.base)
     if args.n < 1:
         raise InputError("invalid-input", "--n must be at least 1")
-    ti = qcompletion.tower_level(a, args.n, max_level=args.max_level)
-    table = ti.tables[args.n - 1]
+    table, generator_count = qcompletion.vn_table(a, args.n, max_level=args.max_level)
     out.put("n", args.n)
     out.put("elements", list(table.texts))
     out.put("count", len(table.entries))
-    out.put("generator_count", ti.generator_count)
+    out.put("generator_count", generator_count)
     return EXIT_OK
 
 
@@ -411,9 +410,17 @@ def _cmd_qword_conj(args, out: _Output) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InputError, exit 3 like every input error
+    (argparse itself would exit 2, which means absent within the bound)."""
+
+    def error(self, message):
+        raise InputError("usage", message)
+
+
 @functools.cache  # built on the first run, once per process
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeq",
         description="Exact computation in free groups, free constructions, and Q-completions.",
     )
@@ -513,9 +520,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    out = _Output(args.json)
+    argv = sys.argv[1:] if argv is None else argv
+    out = _Output("--json" in argv)  # as written, for a usage error
     try:
+        args = _build_parser().parse_args(argv)
+        out.as_json = args.json
         code = args.func(args, out)
     except (InputError, ResourceCapError, CertificateError) as ex:
         if isinstance(ex, CertificateError):

@@ -7,12 +7,11 @@ machine-checked witness (a commuting pair or a Baumslag-Solitar relation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import homs, stallings
 from .stallings import CoreGraph, build_core, express, free_basis
-from .words import Alphabet, CertificateError, Presentation, Word, inverse, mul, power
+from .words import Alphabet, CertificateError, Frozen, Presentation, Word, inverse, mul, power
 
 OUTCOME_HYPERBOLIC = "hyperbolic"
 OUTCOME_NOT_HYPERBOLIC = "not-hyperbolic"
@@ -35,40 +34,49 @@ def _default_iso(u_gens, v_gens):
     return tuple(zip(u_gens, v_gens))
 
 
-@dataclass(frozen=True)
-class HNNData:
-    base: Presentation
-    u_generators: tuple
-    v_generators: tuple
-    iso: tuple = ()  # pairs (u-basis word, image word); defaults to zip
+class HNNData(Frozen):
+    __slots__ = ("base", "u_generators", "v_generators", "iso")
 
-    def __post_init__(self):
-        _free_base(self.base)
-        if not self.iso:
-            object.__setattr__(self, "iso", _default_iso(self.u_generators, self.v_generators))
-
-
-@dataclass(frozen=True)
-class AmalgamData:
-    left: Presentation
-    right: Presentation
-    u_generators: tuple  # words in the left factor
-    v_generators: tuple  # words in the right factor
-    iso: tuple = ()
-
-    def __post_init__(self):
-        _free_base(self.left)
-        _free_base(self.right)
-        if not self.iso:
-            object.__setattr__(self, "iso", _default_iso(self.u_generators, self.v_generators))
+    def __init__(self, base: Presentation, u_generators: tuple, v_generators: tuple, iso: tuple = ()):
+        # iso: pairs (u-basis word, image word); defaults to zip
+        _free_base(base)
+        if not iso:
+            iso = _default_iso(u_generators, v_generators)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "u_generators", u_generators)
+        object.__setattr__(self, "v_generators", v_generators)
+        object.__setattr__(self, "iso", iso)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    cited: str
-    witness: Optional[dict] = None
-    details: dict = field(default_factory=dict)
+class AmalgamData(Frozen):
+    __slots__ = ("left", "right", "u_generators", "v_generators", "iso")
+
+    def __init__(
+        self, left: Presentation, right: Presentation, u_generators: tuple, v_generators: tuple,
+        iso: tuple = (),
+    ):
+        # u_generators: words in the left factor, v_generators: in the right one
+        _free_base(left)
+        _free_base(right)
+        if not iso:
+            iso = _default_iso(u_generators, v_generators)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "u_generators", u_generators)
+        object.__setattr__(self, "v_generators", v_generators)
+        object.__setattr__(self, "iso", iso)
+
+
+class Verdict(Frozen):
+    __slots__ = ("outcome", "cited", "witness", "details")
+
+    def __init__(
+        self, outcome: str, cited: str, witness: Optional[dict] = None, details: Optional[dict] = None
+    ):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "cited", cited)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "details", {} if details is None else details)
 
 
 def _edge(data) -> Tuple[CoreGraph, CoreGraph, homs.EdgeContext]:

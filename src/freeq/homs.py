@@ -14,11 +14,10 @@ Trees I.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .stallings import build_core, contains, express
-from .words import Alphabet, Word, free_reduce, inverse, mul
+from .words import Alphabet, Frozen, Word, free_reduce, inverse, mul
 
 Abstract = Tuple[int, ...]  # word over abstract symbols +-(i+1), freely reduced
 
@@ -134,12 +133,14 @@ class SubgroupHom:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EdgeContext:
-    dom: Alphabet
-    cod: Alphabet
-    psi: SubgroupHom  # U -> V
-    psi_inv: SubgroupHom  # V -> U
+class EdgeContext(Frozen):
+    __slots__ = ("dom", "cod", "psi", "psi_inv")
+
+    def __init__(self, dom: Alphabet, cod: Alphabet, psi: SubgroupHom, psi_inv: SubgroupHom):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "psi", psi)  # U -> V
+        object.__setattr__(self, "psi_inv", psi_inv)  # V -> U
 
 
 def edge_context(dom: Alphabet, cod: Alphabet, pairs: Sequence[Tuple[Word, Word]]) -> EdgeContext:

@@ -10,7 +10,6 @@ constructors reproduce the global level-by-level picture at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Dict, List, Optional, Tuple, Union
@@ -18,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import tower as tw
 from . import words
 from .tower import Elem, Form, ResourceCapError, Tower
-from .words import Alphabet, CertificateError, WordSyntaxError
+from .words import Alphabet, CertificateError, Frozen, WordSyntaxError
 
 
 class QSyntaxError(WordSyntaxError):
@@ -29,20 +28,26 @@ class QSyntaxError(WordSyntaxError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class QLetter:
-    letter: int  # signed generator index
+class QLetter(Frozen):
+    __slots__ = ("letter",)
+
+    def __init__(self, letter: int):
+        object.__setattr__(self, "letter", letter)  # signed generator index
 
 
-@dataclass(frozen=True)
-class QProduct:
-    factors: tuple
+class QProduct(Frozen):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class QPower:
-    base: "QWord"
-    exponent: Fraction
+class QPower(Frozen):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "QWord", exponent: Fraction):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 QWord = Union[QLetter, QProduct, QPower]
@@ -283,28 +288,34 @@ class QSession:
 # -- eager tables and tower levels -------------------------------------------
 
 
-@dataclass(frozen=True)
-class VnEntry:
-    text: str
-    length: int
-    elem: Elem  # class representative, at its own level
+class VnEntry(Frozen):
+    __slots__ = ("text", "length", "elem")
+
+    def __init__(self, text: str, length: int, elem: Elem):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "elem", elem)  # class representative, at its own level
 
 
-@dataclass(frozen=True)
-class VnTable:
-    n: int
-    entries: tuple
+class VnTable(Frozen):
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def texts(self) -> tuple:
         return tuple(e.text for e in self.entries)
 
 
-@dataclass(frozen=True)
-class TowerIndex:
-    n: int
-    tower: Tower
-    tables: tuple  # VnTable for levels 1..n
+class TowerIndex(Frozen):
+    __slots__ = ("n", "tower", "tables")
+
+    def __init__(self, n: int, tower: Tower, tables: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "tables", tables)  # VnTable for levels 1..n
 
     @property
     def generator_count(self) -> int:
@@ -370,11 +381,15 @@ def enumerate_Vn(ti: TowerIndex, n: int) -> VnTable:
 _tower_levels: dict = {}  # (alphabet names, n) -> TowerIndex; levels build on each other
 
 
+def _check_level(n: int, max_level: int):
+    if n > max_level:
+        raise ResourceCapError(f"tower level {n} exceeds max_level {max_level}")
+
+
 def tower_level(alphabet: Alphabet, n: int, max_level: int = 3) -> TowerIndex:
     """The n-th tower level: each previous-level class gets an n-th root
     (n = 1 collapses to renamings)."""
-    if n > max_level:
-        raise ResourceCapError(f"tower level {n} exceeds max_level {max_level}")
+    _check_level(n, max_level)
     idx = TowerIndex(0, Tower(alphabet), ())
     start = 1
     for k in range(n, 0, -1):
@@ -390,3 +405,13 @@ def tower_level(alphabet: Alphabet, n: int, max_level: int = 3) -> TowerIndex:
         idx = TowerIndex(k, t, idx.tables + (table,))
         _tower_levels[(alphabet.names, k)] = idx
     return idx
+
+
+def vn_table(alphabet: Alphabet, n: int, max_level: int = 3) -> Tuple[VnTable, int]:
+    """V_n, enumerated from T_{n-1}, and the generator count of T_n, without
+    building T_n: T_n adds one root per V_n entry, except at n = 1, whose
+    m = 1 steps are aliases and add none."""
+    _check_level(n, max_level)
+    below = tower_level(alphabet, n - 1, max_level)
+    table = enumerate_Vn(below, n)
+    return table, below.generator_count + (len(table.entries) if n > 1 else 0)

@@ -9,31 +9,34 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .words import Alphabet, Word, inverse, mul, free_reduce
+from .words import Alphabet, Frozen, Word, inverse, mul, free_reduce
 
 
-@dataclass(frozen=True)
-class CoreGraph:
+class CoreGraph(Frozen):
     """Folded basepointed graph; vertices 0..n-1 in canonical BFS order, basepoint 0.
 
     The BFS spanning tree from the basepoint and the index of its chords (the
     non-tree edges, one per free generator) are computed once, on first use.
     """
 
-    alphabet: Alphabet
-    num_vertices: int
-    edges: tuple  # sorted tuple of (source, generator>=1, target)
+    __slots__ = ("alphabet", "num_vertices", "edges", "_out", "_in", "__dict__")
 
-    def __post_init__(self):
-        out, inn = _edge_maps(self.edges)
-        if len(out) != len(self.edges) or len(inn) != len(self.edges):
+    def __init__(self, alphabet: Alphabet, num_vertices: int, edges: tuple):
+        # edges: sorted tuple of (source, generator>=1, target)
+        out, inn = _edge_maps(edges)
+        if len(out) != len(edges) or len(inn) != len(edges):
             raise ValueError("graph is not folded")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inn)
+
+    def _key(self) -> tuple:
+        return (self.alphabet, self.num_vertices, self.edges)
 
     def step(self, vertex: int, letter: int) -> Optional[int]:
         if letter > 0:
@@ -233,13 +236,15 @@ def quasiconvexity_constant(graph: CoreGraph) -> int:
     return len(_tree_path(tree, next(reversed(tree))))  # BFS visits the farthest vertex last
 
 
-@dataclass(frozen=True)
-class FiberComponent:
+class FiberComponent(Frozen):
     """Connected component of the pullback of two core graphs over the rose."""
 
-    vertices: tuple  # sorted tuple of (p, q) pairs
-    edges: tuple  # sorted tuple of ((p,q), g, (p',q'))
-    contains_basepoint: bool
+    __slots__ = ("vertices", "edges", "contains_basepoint")
+
+    def __init__(self, vertices: tuple, edges: tuple, contains_basepoint: bool):
+        object.__setattr__(self, "vertices", vertices)  # sorted tuple of (p, q) pairs
+        object.__setattr__(self, "edges", edges)  # sorted tuple of ((p,q), g, (p',q'))
+        object.__setattr__(self, "contains_basepoint", contains_basepoint)
 
     @property
     def betti(self) -> int:
@@ -318,13 +323,17 @@ def _cycle_witness(comp: FiberComponent, g1: CoreGraph, g2: CoreGraph):
     return alpha, beta, mul(alpha, z, inverse(alpha))
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(Frozen):
     """Outcome of a finiteness test, with a verifying witness on failure."""
 
-    holds: bool
-    witness: Optional[Word] = None  # x (or g) conjugating a common element
-    common_element: Optional[Word] = None
+    __slots__ = ("holds", "witness", "common_element")
+
+    def __init__(
+        self, holds: bool, witness: Optional[Word] = None, common_element: Optional[Word] = None
+    ):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)  # x (or g) conjugating a common element
+        object.__setattr__(self, "common_element", common_element)
 
     def __bool__(self):
         return self.holds

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
 from . import words
-from .words import Alphabet, CertificateError
+from .words import Alphabet, CertificateError, Frozen
 
 Elem = Union[tuple, "Form"]  # a plain Word, or a Form at the level of its syllables
 
@@ -46,26 +45,42 @@ MAX_POWER_LENGTH = 10**6
 MAX_LEVEL = 160
 
 
-@dataclass(frozen=True, slots=True)
-class Form:
+class Form(Frozen):
     """Alternating semicanonical form with n >= 1 syllables at extension
     level `level`; an element without a syllable there is not a Form at that
-    level but the lower element itself."""
+    level but the lower element itself.
 
-    level: int
-    hs: tuple  # n+1 elements, each of any level below `level`
-    ss: tuple  # n >= 1 fractional exponents, each in (0,1)
-    _hash: int = field(init=False, compare=False, repr=False)
+    `hs` holds n+1 elements, each of any level below `level`, and `ss` the
+    n >= 1 fractional exponents, each in (0,1).
+    """
 
-    def __post_init__(self):
-        if not self.ss:
+    __slots__ = ("level", "hs", "ss", "_hash")
+
+    def __init__(self, level: int, hs: tuple, ss: tuple):
+        if not ss:
             raise ValueError("a form needs a syllable: store the lower element itself")
-        if len(self.hs) != len(self.ss) + 1:
+        if len(hs) != len(ss) + 1:
             raise ValueError("alternating form needs one more h than syllables")
-        for s in self.ss:
+        for s in ss:
             if not isinstance(s, Fraction) or not (0 < s < 1):
                 raise ValueError(f"syllable exponent must be a Fraction in (0,1): {s}")
-        object.__setattr__(self, "_hash", hash((self.level, self.hs, self.ss)))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "hs", hs)
+        object.__setattr__(self, "ss", ss)
+        object.__setattr__(self, "_hash", hash((level, hs, ss)))
+
+    def _key(self) -> tuple:
+        return (self.level, self.hs, self.ss)
+
+    def __eq__(self, other):
+        if other.__class__ is not Form:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.level == other.level
+            and self.hs == other.hs
+            and self.ss == other.ss
+        )
 
     def __hash__(self):  # cached: forms nest and live in dict keys
         return self._hash
@@ -75,13 +90,19 @@ class Form:
         return len(self.ss)
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
-    """One centralizer extension: adjoin an m-th root (named `name`) of v."""
+class Step(Frozen):
+    """One centralizer extension: adjoin an m-th root (named `name`) of v,
+    an element at its own level, below this step."""
 
-    v: Elem  # at its own level, below this step
-    m: int
-    name: str
+    __slots__ = ("v", "m", "name")
+
+    def __init__(self, v: Elem, m: int, name: str):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "name", name)
+
+    def _key(self) -> tuple:  # hashed whenever a Tower interns its steps
+        return (self.v, self.m, self.name)
 
 
 def level_of(e: Elem) -> int:

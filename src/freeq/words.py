@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional
 
@@ -26,20 +25,56 @@ class CertificateError(RuntimeError):
     """A certificate failed its replay check, so the answer it backs is wrong."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Frozen:
+    """Base of freeq's immutable value types.
+
+    A subclass lists its fields in `__slots__` and sets them in `__init__`
+    through `object.__setattr__`; after that, assignment raises
+    AttributeError.  Values of one class compare and hash by the tuple of
+    their fields.  Nothing is generated when a subclass is defined, so
+    importing the package stays cheap.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__: fields in its order
+        return type(self), self._key()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+
+class Alphabet(Frozen):
     """Finite generating set.  Lowercase letter = generator, uppercase = inverse."""
 
-    names: tuple
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(self.names) < 1:
+    def __init__(self, names: tuple):
+        if len(names) < 1:
             raise ValueError("alphabet needs at least one generator")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        for n in self.names:
+        for n in names:
             if not (isinstance(n, str) and len(n) == 1 and n.isalpha() and n.islower()):
                 raise ValueError(f"generator name must be a single lowercase letter: {n!r}")
+        object.__setattr__(self, "names", names)
 
     @property
     def size(self) -> int:
@@ -106,16 +141,16 @@ def conjugate(w: Word, by: Word) -> Word:
     return mul(inverse(by), w, by)
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(Frozen):
     """Cyclically reduced core plus the witness conjugator c with c*core*c^-1 = original."""
 
-    core: Word
-    conjugator: Word
+    __slots__ = ("core", "conjugator")
 
-    def __post_init__(self):
-        if self.core and self.core[0] == -self.core[-1]:
+    def __init__(self, core: Word, conjugator: Word):
+        if core and core[0] == -core[-1]:
             raise ValueError("core is not cyclically reduced")
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "conjugator", conjugator)
 
 
 def cyclic_reduce(w: Word) -> CyclicWord:
@@ -177,17 +212,17 @@ def gromov_product(x: Word, y: Word, o: Word = IDENTITY) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    alphabet: Alphabet
-    relators: tuple
+class Presentation(Frozen):
+    __slots__ = ("alphabet", "relators")
 
-    def __post_init__(self):
-        for r in self.relators:
+    def __init__(self, alphabet: Alphabet, relators: tuple):
+        for r in relators:
             if not r:
                 raise ValueError("relator equal to identity")
             if cyclic_reduce(r).conjugator:
                 raise ValueError("relators must be cyclically reduced")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "relators", relators)
 
 
 def dehn_area(p: Presentation, w: Word, bound: int) -> Optional[int]:

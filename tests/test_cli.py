@@ -122,6 +122,17 @@ class TestWord:
         foreign = [m for m in loaded if m.split(".")[0] not in {"freeq", *sys.stdlib_module_names}]
         assert foreign == []
 
+    def test_cold_import_loads_every_module_and_no_dataclasses(self):
+        # the bench tracer looks up each of the seven modules in sys.modules,
+        # and the value types are plain classes: no dataclasses, no inspect
+        code = "import json, sys; import freeq.cli; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        layers = ("cli", "qcompletion", "tower", "words", "stallings", "homs", "constructions")
+        assert {f"freeq.{m}" for m in layers} <= loaded
+        assert "dataclasses" not in loaded
+
     def test_parser_built_once(self, capsys):
         run_json(capsys, "word", "reduce", "ab")
         assert cli._build_parser() is cli._build_parser()
@@ -524,12 +535,53 @@ class TestTower:
         assert "a(ab)^(1/2)" in v3
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["word", "reduce"], "the following arguments are required: word"),
+            (["vn", "list", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_exit_3_with_an_error_document(self, capsys, argv, message):
+        # argparse's own exit 2 would read as absent-within-bound
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
+        assert doc["error"]["code"] == "usage"
+        assert doc["error"]["message"].startswith(message)
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert out.startswith('error: {"code": "usage"')
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["vn", "list", "--help"])
+        assert exc.value.code == 0
+        assert "--max-level" in capsys.readouterr().out
+
+
 class TestVn:
     def test_list_v2(self, capsys):
         code, doc = run_json(capsys, "vn", "list", "--n", "2")
         assert code == 0
         assert doc["elements"] == ["a", "b", "ab", "aB"]
         assert doc["generator_count"] == 6
+
+    def test_list_v1(self, capsys):
+        # T_1's m = 1 steps are aliases: no generator beyond the base
+        code, doc = run_json(capsys, "vn", "list", "--n", "1")
+        assert code == 0
+        assert doc["elements"] == ["a", "b"]
+        assert doc["generator_count"] == 2
+
+    def test_list_v3_counts_t3_without_building_it(self, capsys):
+        t3 = qcompletion.tower_level(AB, 3)
+        code, doc = run_json(capsys, "vn", "list", "--n", "3")
+        assert code == 0
+        assert doc["elements"] == list(t3.tables[2].texts)
+        assert doc["count"] == 88
+        assert doc["generator_count"] == t3.generator_count == 94
 
     def test_max_level_caps_n(self, capsys):
         t0 = time.perf_counter()
