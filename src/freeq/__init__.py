@@ -5,6 +5,7 @@ from .words import (
     Alphabet,
     CyclicWord,
     Presentation,
+    ResourceCapError,
     Word,
     WordSyntaxError,
     conjugacy_witness,
@@ -43,7 +44,6 @@ from .constructions import (
 )
 from .tower import (
     Form,
-    ResourceCapError,
     Tower,
     canonical_form,
     conjugate_in_tower,

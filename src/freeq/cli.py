@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import constructions, qcompletion, stallings, tower, words
 from .qcompletion import QSession, parse_qword
-from .tower import ResourceCapError, Tower
-from .words import Alphabet, CertificateError, Presentation, WordSyntaxError
+from .tower import Tower
+from .words import Alphabet, CertificateError, Presentation, ResourceCapError, WordSyntaxError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

@@ -42,10 +42,7 @@ class HNNData(Frozen):
         _free_base(base)
         if not iso:
             iso = _default_iso(u_generators, v_generators)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "u_generators", u_generators)
-        object.__setattr__(self, "v_generators", v_generators)
-        object.__setattr__(self, "iso", iso)
+        super().__init__(base, u_generators, v_generators, iso)
 
 
 class AmalgamData(Frozen):
@@ -60,11 +57,7 @@ class AmalgamData(Frozen):
         _free_base(right)
         if not iso:
             iso = _default_iso(u_generators, v_generators)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "u_generators", u_generators)
-        object.__setattr__(self, "v_generators", v_generators)
-        object.__setattr__(self, "iso", iso)
+        super().__init__(left, right, u_generators, v_generators, iso)
 
 
 class Verdict(Frozen):
@@ -73,10 +66,7 @@ class Verdict(Frozen):
     def __init__(
         self, outcome: str, cited: str, witness: Optional[dict] = None, details: Optional[dict] = None
     ):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "cited", cited)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "details", {} if details is None else details)
+        super().__init__(outcome, cited, witness, {} if details is None else details)
 
 
 def _edge(data) -> Tuple[CoreGraph, CoreGraph, homs.EdgeContext]:

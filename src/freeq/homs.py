@@ -134,13 +134,7 @@ class SubgroupHom:
 
 
 class EdgeContext(Frozen):
-    __slots__ = ("dom", "cod", "psi", "psi_inv")
-
-    def __init__(self, dom: Alphabet, cod: Alphabet, psi: SubgroupHom, psi_inv: SubgroupHom):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "psi", psi)  # U -> V
-        object.__setattr__(self, "psi_inv", psi_inv)  # V -> U
+    __slots__ = ("dom", "cod", "psi", "psi_inv")  # psi: U -> V, psi_inv: V -> U
 
 
 def edge_context(dom: Alphabet, cod: Alphabet, pairs: Sequence[Tuple[Word, Word]]) -> EdgeContext:

@@ -29,25 +29,15 @@ class QSyntaxError(WordSyntaxError):
 
 
 class QLetter(Frozen):
-    __slots__ = ("letter",)
-
-    def __init__(self, letter: int):
-        object.__setattr__(self, "letter", letter)  # signed generator index
+    __slots__ = ("letter",)  # signed generator index
 
 
 class QProduct(Frozen):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-
 
 class QPower(Frozen):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: "QWord", exponent: Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+    __slots__ = ("base", "exponent")  # a QWord and a Fraction
 
 
 QWord = Union[QLetter, QProduct, QPower]
@@ -289,20 +279,11 @@ class QSession:
 
 
 class VnEntry(Frozen):
-    __slots__ = ("text", "length", "elem")
-
-    def __init__(self, text: str, length: int, elem: Elem):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "elem", elem)  # class representative, at its own level
+    __slots__ = ("text", "elem")  # elem: the class representative, at its own level
 
 
 class VnTable(Frozen):
     __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def texts(self) -> tuple:
@@ -310,19 +291,11 @@ class VnTable(Frozen):
 
 
 class TowerIndex(Frozen):
-    __slots__ = ("n", "tower", "tables")
-
-    def __init__(self, n: int, tower: Tower, tables: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "tables", tables)  # VnTable for levels 1..n
+    __slots__ = ("n", "tower", "tables")  # tables: the VnTable of each level 1..n
 
     @property
     def generator_count(self) -> int:
         return self.tower.base.size + len(self.tower.steps)
-
-    def generator_names(self) -> tuple:
-        return tuple(self.tower.base.names) + tuple(s.name for s in self.tower.steps)
 
 
 # Most products of at most n letters enumerate_Vn forms: V_3 over ab forms
@@ -373,7 +346,7 @@ def enumerate_Vn(ti: TowerIndex, n: int) -> VnTable:
             continue
         key = tw.serialize(t, rep)
         if key not in found:
-            found[key] = VnEntry(text=key, length=tw.elem_len(t, rep), elem=rep)
+            found[key] = VnEntry(key, rep)
     entries = sorted(found.values(), key=lambda en: tw.sort_key(t, en.elem))
     return VnTable(n, tuple(entries))
 

@@ -12,7 +12,7 @@ from collections import deque
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .words import Alphabet, Frozen, Word, inverse, mul, free_reduce
+from .words import Alphabet, Frozen, ResourceCapError, Word, inverse, mul, free_reduce
 
 
 class CoreGraph(Frozen):
@@ -29,11 +29,7 @@ class CoreGraph(Frozen):
         out, inn = _edge_maps(edges)
         if len(out) != len(edges) or len(inn) != len(edges):
             raise ValueError("graph is not folded")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inn)
+        super().__init__(alphabet, num_vertices, edges, out, inn)
 
     def _key(self) -> tuple:
         return (self.alphabet, self.num_vertices, self.edges)
@@ -237,14 +233,10 @@ def quasiconvexity_constant(graph: CoreGraph) -> int:
 
 
 class FiberComponent(Frozen):
-    """Connected component of the pullback of two core graphs over the rose."""
+    """Connected component of the pullback of two core graphs over the rose:
+    its sorted (p, q) pairs and its sorted ((p, q), g, (p', q')) edges."""
 
     __slots__ = ("vertices", "edges", "contains_basepoint")
-
-    def __init__(self, vertices: tuple, edges: tuple, contains_basepoint: bool):
-        object.__setattr__(self, "vertices", vertices)  # sorted tuple of (p, q) pairs
-        object.__setattr__(self, "edges", edges)  # sorted tuple of ((p,q), g, (p',q'))
-        object.__setattr__(self, "contains_basepoint", contains_basepoint)
 
     @property
     def betti(self) -> int:
@@ -261,6 +253,10 @@ def _pair_step(g1: CoreGraph, g2: CoreGraph):
     return step
 
 
+# Most (p, q) pairs fiber_product numbers: it fills 8 bytes a pair before it reads an edge.
+MAX_FIBER_PAIRS = 2 * 10**7
+
+
 def fiber_product(g1: CoreGraph, g2: CoreGraph) -> List[FiberComponent]:
     """The components of the pullback that contain a cycle, in order of their
     least (p, q) pair.
@@ -269,11 +265,16 @@ def fiber_product(g1: CoreGraph, g2: CoreGraph) -> List[FiberComponent]:
     (p, q) has id p * n2 + q; a union-find over the pairs of equally
     labelled edges keeps the least id of each component as its root and
     collects the roots where an edge closed a cycle.  Each of those
-    components is then walked once by BFS from its least pair.
+    components is then walked once by BFS from its least pair.  More than
+    MAX_FIBER_PAIRS pairs raise ResourceCapError.
     """
     if g1.alphabet != g2.alphabet:
         raise ValueError("fiber product needs a common alphabet")
     size, n2 = g1.alphabet.size, g2.num_vertices
+    if g1.num_vertices * n2 > MAX_FIBER_PAIRS:
+        raise ResourceCapError(
+            f"fiber product of cores of {g1.num_vertices} and {n2} vertices exceeds {MAX_FIBER_PAIRS} pairs"
+        )
     parent = array("q", range(g1.num_vertices * n2))
 
     def find(x):
@@ -324,19 +325,10 @@ def _cycle_witness(comp: FiberComponent, g1: CoreGraph, g2: CoreGraph):
 
 
 class SeparationResult(Frozen):
-    """Outcome of a finiteness test, with a verifying witness on failure."""
+    """Outcome of a finiteness test; on failure, x (or g) conjugating a common element."""
 
     __slots__ = ("holds", "witness", "common_element")
-
-    def __init__(
-        self, holds: bool, witness: Optional[Word] = None, common_element: Optional[Word] = None
-    ):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)  # x (or g) conjugating a common element
-        object.__setattr__(self, "common_element", common_element)
-
-    def __bool__(self):
-        return self.holds
+    _defaults = {"witness": None, "common_element": None}
 
 
 def is_conjugate_separated(graph: CoreGraph) -> SeparationResult:

@@ -23,13 +23,9 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
 from . import words
-from .words import Alphabet, CertificateError, Frozen
+from .words import Alphabet, CertificateError, Frozen, ResourceCapError
 
 Elem = Union[tuple, "Form"]  # a plain Word, or a Form at the level of its syllables
-
-
-class ResourceCapError(RuntimeError):
-    """A tower operation exceeded a cap: the level cap or MAX_POWER_LENGTH."""
 
 
 # Longest power pow_elem builds, counted as |n| * elem_len(e): a larger one
@@ -95,14 +91,6 @@ class Step(Frozen):
     an element at its own level, below this step."""
 
     __slots__ = ("v", "m", "name")
-
-    def __init__(self, v: Elem, m: int, name: str):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "name", name)
-
-    def _key(self) -> tuple:  # hashed whenever a Tower interns its steps
-        return (self.v, self.m, self.name)
 
 
 def level_of(e: Elem) -> int:

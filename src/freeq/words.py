@@ -25,17 +25,43 @@ class CertificateError(RuntimeError):
     """A certificate failed its replay check, so the answer it backs is wrong."""
 
 
+class ResourceCapError(RuntimeError):
+    """An operation exceeded a cap on its work or memory."""
+
+
 class Frozen:
     """Base of freeq's immutable value types.
 
-    A subclass lists its fields in `__slots__` and sets them in `__init__`
-    through `object.__setattr__`; after that, assignment raises
-    AttributeError.  Values of one class compare and hash by the tuple of
-    their fields.  Nothing is generated when a subclass is defined, so
-    importing the package stays cheap.
+    A subclass lists its fields in `__slots__` (a `__dict__` slot holds
+    cached properties and is no field).  The one constructor sets them in
+    slot order from positional arguments, then keywords, then the class's
+    `_defaults`, and raises TypeError for a field left unset or an argument
+    it cannot place.  A subclass with checks ends its `__init__` with one
+    call of it; only `tower.Form`, on the tower's hot path, sets its own
+    slots.  After that, assignment raises AttributeError.  Values of one
+    class compare and hash by the tuple of their fields.  Nothing is
+    generated when a subclass is defined, so importing stays cheap.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = [name for name in self.__slots__ if name != "__dict__"]
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} needs field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected fields {sorted(kwargs)}")
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -74,7 +100,7 @@ class Alphabet(Frozen):
         for n in names:
             if not (isinstance(n, str) and len(n) == 1 and n.isalpha() and n.islower()):
                 raise ValueError(f"generator name must be a single lowercase letter: {n!r}")
-        object.__setattr__(self, "names", names)
+        super().__init__(names)
 
     @property
     def size(self) -> int:
@@ -149,8 +175,7 @@ class CyclicWord(Frozen):
     def __init__(self, core: Word, conjugator: Word):
         if core and core[0] == -core[-1]:
             raise ValueError("core is not cyclically reduced")
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "conjugator", conjugator)
+        super().__init__(core, conjugator)
 
 
 def cyclic_reduce(w: Word) -> CyclicWord:
@@ -221,8 +246,7 @@ class Presentation(Frozen):
                 raise ValueError("relator equal to identity")
             if cyclic_reduce(r).conjugator:
                 raise ValueError("relators must be cyclically reduced")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "relators", relators)
+        super().__init__(alphabet, relators)
 
 
 def dehn_area(p: Presentation, w: Word, bound: int) -> Optional[int]:

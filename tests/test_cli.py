@@ -1,6 +1,7 @@
 """Command-line surface: subcommand dispatch, exit codes, and deterministic
 JSON output."""
 
+import importlib.util
 import json
 import os
 import random
@@ -133,6 +134,20 @@ class TestWord:
         assert {f"freeq.{m}" for m in layers} <= loaded
         assert "dataclasses" not in loaded
 
+    def test_tracer_targets_resolve(self):
+        # `bench/run.py --trace 1` wraps each (module, attribute, class) of
+        # the tracer's TARGETS; a name it cannot find breaks the run
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("freeq_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, attr, cls in tracer.TARGETS.values():
+            owner = importlib.import_module(f"freeq.{module}")
+            if cls is not None:
+                owner = getattr(owner, cls)
+                assert attr in vars(owner), (module, cls, attr)
+            assert callable(getattr(owner, attr)), (module, cls, attr)
+
     def test_parser_built_once(self, capsys):
         run_json(capsys, "word", "reduce", "ab")
         assert cli._build_parser() is cli._build_parser()
@@ -206,6 +221,24 @@ class TestSubgroup:
         code, doc = run_json(capsys, "subgroup", "qc-const", "ab")
         assert code == 0
         assert doc["quasiconvexity_constant"] == "1"
+
+    def test_malnormal_over_the_pair_cap(self, capsys):
+        # a cyclically reduced word of 5,000 letters has a core of 5,000
+        # vertices, so its self fiber product would number 2.5e7 pairs
+        rng = random.Random(24)
+        w = [rng.choice("ab")]
+        while len(w) < 5000:
+            x = rng.choice("abAB")
+            if x != w[-1].swapcase() and (len(w) < 4999 or x != w[0].swapcase()):
+                w.append(x)
+        t0 = time.perf_counter()
+        code, doc = run_json(capsys, "subgroup", "malnormal", "".join(w))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 3
+        assert doc["error"] == {
+            "code": "resource-cap",
+            "message": "fiber product of cores of 5000 and 5000 vertices exceeds 20000000 pairs",
+        }
 
 
 HNN = {"kind": "hnn", "base": {"generators": ["a", "b"]}, "u_generators": ["aa"], "v_generators": ["bb"]}

@@ -313,7 +313,7 @@ class TestTables:
     def test_t2_generators(self):
         ti = qc.tower_level(AB, 2)
         assert ti.generator_count == 6
-        assert ti.generator_names() == (
+        assert ti.tower.base.names + tuple(s.name for s in ti.tower.steps) == (
             "a",
             "b",
             "w[2;a]",

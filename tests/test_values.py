@@ -13,7 +13,7 @@ from freeq.constructions import AmalgamData, HNNData, Verdict
 from freeq.qcompletion import parse_qword
 from freeq.stallings import CoreGraph, FiberComponent, SeparationResult, build_core, is_conjugate_separated
 from freeq.tower import Form, Step, Tower
-from freeq.words import Alphabet, CyclicWord, Presentation, cyclic_reduce
+from freeq.words import Alphabet, CyclicWord, Frozen, Presentation, cyclic_reduce
 
 AB = Alphabet(("a", "b"))
 X, Y = Presentation(Alphabet(("x",)), ()), Presentation(Alphabet(("y",)), ())
@@ -130,6 +130,60 @@ def test_form_keeps_its_hash():
 def test_constructor_checks(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_every_value_type_is_tested():
+    # a value type of any freeq module, subclass of a subclass included
+    import freeq.cli  # noqa: F401
+
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("freeq."):
+                found.add(sub)
+    assert found == set(VALUES)
+
+
+# a class that only copies its fields, and one value of each field
+FIELDS_ONLY = {Step: ((1, 2), 2, "w"), FiberComponent: (((0, 0),), (), True)}
+
+
+@pytest.mark.parametrize("cls", FIELDS_ONLY, ids=lambda cls: cls.__name__)
+class TestSharedConstructor:
+    def test_too_many_positional_arguments(self, cls):
+        with pytest.raises(TypeError):
+            cls(*FIELDS_ONLY[cls], 0)
+
+    def test_unknown_keyword(self, cls):
+        with pytest.raises(TypeError):
+            cls(*FIELDS_ONLY[cls], extra=0)
+
+    def test_field_given_twice(self, cls):
+        *args, last = FIELDS_ONLY[cls]
+        with pytest.raises(TypeError):
+            cls(*args, last, **{cls.__slots__[-1]: last})
+
+    def test_missing_field(self, cls):
+        with pytest.raises(TypeError):
+            cls(*FIELDS_ONLY[cls][:-1])
+
+    def test_keywords_fill_the_fields_in_slot_order(self, cls):
+        args = FIELDS_ONLY[cls]
+        value = cls(**dict(zip(cls.__slots__, args)))
+        assert value == cls(*args) and value._key() == args
+
+
+def test_keyword_and_positional_fields_agree():
+    v, e = ((0, 0),), (((0, 0), 1, (0, 0)),)
+    assert FiberComponent(v, e, contains_basepoint=True) == FiberComponent(v, e, True)
+
+
+def test_defaults_fill_unset_fields():
+    assert SeparationResult(True).witness is None
+    assert SeparationResult(True).common_element is None
+    failed = SeparationResult(False, witness=(1,))
+    assert (failed.holds, failed.witness, failed.common_element) == (False, (1,), None)
 
 
 def test_default_iso_zips_the_generators():
