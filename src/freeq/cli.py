@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 = decided/computed, 1 = negative decision, 2 = absent within
-the search bound, 3 = input error or resource cap, 4 = internal error (a
-certificate failed its check, so no answer is printed); only `word area` and
-an inconclusive check-hnn/check-amalgam verdict exit 2.  With --json every
-result is a single JSON document (sorted keys, so byte-identical across
-runs); rationals are always printed as exact "p/q" strings.
+the search bound, 3 = input error or resource cap (MemoryError and
+RecursionError included), 4 = internal error (a certificate failed its
+check, or any other exception, so no answer is printed); only `word area`
+and an inconclusive check-hnn/check-amalgam verdict exit 2.  With --json
+every result is a single JSON document (sorted keys, so byte-identical
+across runs); rationals are always printed as exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -117,7 +118,10 @@ def _cmd_word_area(args, out: _Output) -> int:
     relators = tuple(words.cyclic_reduce(_parse_word(a, r)).core for r in args.relator)
     if not relators:
         raise InputError("usage", "word area needs at least one --relator")
-    p = Presentation(a, relators)
+    try:
+        p = Presentation(a, relators)
+    except ValueError as ex:  # a relator equal to the identity
+        raise InputError("invalid-input", str(ex))
     w = _parse_word(a, args.word)
     area = words.dehn_area(p, w, args.area_bound)
     out.put("area_bound", args.area_bound)
@@ -519,6 +523,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(ex: Exception):
+    """(error code, exit code, message) of a command that raised ex: input
+    errors and caps exit 3, a failed certificate exits 4.  As a backstop,
+    MemoryError and RecursionError are caps and any other exception is
+    internal, each named by its type, so no failure exits 1; that last is a
+    bug, and its traceback goes to standard error."""
+    if isinstance(ex, InputError):
+        return ex.code, EXIT_INPUT, str(ex)
+    if isinstance(ex, ResourceCapError):
+        return "resource-cap", EXIT_INPUT, str(ex)
+    if isinstance(ex, CertificateError):
+        return "internal", EXIT_INTERNAL, str(ex)
+    named = f"{type(ex).__name__}: {ex}" if str(ex) else type(ex).__name__
+    if isinstance(ex, (MemoryError, RecursionError)):
+        return "resource-cap", EXIT_INPUT, named
+    import traceback  # not at start-up: only a bug gets here
+
+    traceback.print_exception(ex)
+    return "internal", EXIT_INTERNAL, named
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out = _Output("--json" in argv)  # as written, for a usage error
@@ -526,13 +551,9 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         out.as_json = args.json
         code = args.func(args, out)
-    except (InputError, ResourceCapError, CertificateError) as ex:
-        if isinstance(ex, CertificateError):
-            error, code = "internal", EXIT_INTERNAL
-        else:
-            error = ex.code if isinstance(ex, InputError) else "resource-cap"
-            code = EXIT_INPUT
-        out.put("error", {"code": error, "message": str(ex)})
+    except Exception as ex:  # noqa: BLE001
+        error, code, message = _failure(ex)
+        out.doc = {"error": {"code": error, "message": message}}  # drops what the command put
     out.emit()
     return code
 

@@ -13,6 +13,11 @@ element of the base amalgam H (no syllable at level k) is stored as that
 element of H, down to a plain Word at level 0; a Form always has at least
 one syllable, and its h_i may live at any lower level.  Operations accept
 operands of different levels and return results at their own level.
+
+Contract: every element a tower op returns is canonical (only `_normalize`,
+`Tower.root`, `pow_elem`, `coset_rep` and `_prefixes` build a `Form`), and
+the public functions take canonical elements: results of tower ops,
+`QSession.normalize` or `canonical_form`.  None re-normalizes its input.
 """
 
 from __future__ import annotations
@@ -363,20 +368,14 @@ def _normalize(t: Tower, lvl: int, hs: List[Elem], ss: List[Fraction]) -> Elem:
 
 
 def canonical_form(t: Tower, e: Elem) -> Elem:
-    """Deterministic canonical form; idempotent, equal elements map to equal forms."""
+    """Canonical form of input from outside tower ops: a hand-built form, an unreduced word."""
     if not isinstance(e, Form):
         return words.free_reduce(e)
-    key = ("canon", t._pid[e.level], e)
-    cache = t._cache("ops")
-    if key in cache:
-        return cache[key]
-    out = _normalize(t, e.level, [canonical_form(t, h) for h in e.hs], list(e.ss))
-    cache[key] = out
-    return out
+    return _normalize(t, e.level, [canonical_form(t, h) for h in e.hs], list(e.ss))
 
 
 def equal(t: Tower, a: Elem, b: Elem) -> bool:
-    return canonical_form(t, a) == canonical_form(t, b)
+    return a == b  # canonical elements are equal exactly when identical
 
 
 # -- cyclic subgroup membership and coset representatives --------------------
@@ -476,7 +475,7 @@ def coset_rep(t: Tower, h: Elem, v: Elem) -> Tuple[Elem, int]:
 def cyclic_decompose(t: Tower, e: Elem) -> Tuple[Elem, Elem]:
     """(x, c) with e = x c x^-1 and c cyclically reduced in the amalgam sense;
     c drops to a lower level whenever its last syllable cancels."""
-    x, e = (), canonical_form(t, e)
+    x = ()
     while isinstance(e, Form):
         if not is_trivial(e.hs[0]):
             y = e.hs[0]
@@ -506,7 +505,7 @@ def root_class(t: Tower, c: Elem) -> Tuple[Elem, Elem, int, int]:
     `_twist` exact), so comparing them decides what a conjugacy test against
     v^+-1 would.
     """
-    root, k = _own_root(t, canonical_form(t, c))
+    root, k = _own_root(t, c)
     x, core = cyclic_decompose(t, root)
     rep, d, s = class_rep(t, core)
     d = mul(t, x, d)
@@ -731,10 +730,9 @@ def class_rep(t: Tower, core: Elem) -> Tuple[Elem, Elem, int]:
     cache = t._cache("ops")
     if ckey in cache:
         return cache[ckey]
-    core = canonical_form(t, core)
     lvl = level_of(core)
     cands = []
-    for sign, g in ((1, core), (-1, canonical_form(t, inv(t, core)))):
+    for sign, g in ((1, core), (-1, inv(t, core))):
         if lvl == 0:
             n, text = len(g), serialize(t, g).translate(t._order) * 2
             i = min(range(n), key=lambda i: text[i : i + n], default=0)

@@ -191,7 +191,8 @@ def is_conjugate(w1: Word, w2: Word) -> bool:
 
 
 def conjugacy_witness(w1: Word, w2: Word) -> Optional[Word]:
-    """A word c with c^-1 * w1 * c = w2, or None.
+    """A word c with c^-1 * w1 * c = w2, or None; CertificateError if the c
+    found fails that check, so a failed check never reads as "not conjugate".
 
     The core of w2 is the rotation core1[i:] + core1[:i] exactly when it
     occurs at offset i of core1 doubled; str.find over the letters encoded as
@@ -205,7 +206,9 @@ def conjugacy_witness(w1: Word, w2: Word) -> Optional[Word]:
         return None
     # rot = p^-1 core1 p with p = core1[:i], hence c = a1 p a2^-1
     c = mul(r1.conjugator, r1.core[:i], inverse(r2.conjugator))
-    return c if conjugate(w1, c) == w2 else None
+    if conjugate(w1, c) != w2:
+        raise CertificateError("conjugator does not conjugate w1 to w2")
+    return c
 
 
 def _text(w: Word) -> str:

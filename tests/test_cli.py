@@ -12,7 +12,7 @@ import time
 import pytest
 
 import freeq
-from freeq import cli, qcompletion, tower
+from freeq import cli, qcompletion, tower, words
 from freeq.qcompletion import MAX_NESTING
 from freeq.words import Alphabet
 
@@ -191,6 +191,27 @@ class TestWord:
         code, doc = run_json(capsys, "word", "area", "abAB", "--relator", "aaa", "--area-bound", "0")
         assert code == 2
         assert doc["status"] == "absent-within-bound"
+
+    @pytest.mark.parametrize("relator", ["aA", "1"])
+    def test_area_trivial_relator(self, capsys, relator):
+        # an input error, exit 3, not a crash that exits 1
+        argv = ("word", "area", "ab", "--relator", relator)
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
+        assert doc == {"error": {"code": "invalid-input", "message": "relator equal to identity"}}
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert out.startswith("error: ") and "invalid-input" in out
+
+    def test_conj_failed_check_is_internal(self, capsys, monkeypatch):
+        # a witness that fails its replay is exit 4, never "not conjugate"
+        monkeypatch.setattr(words, "conjugate", lambda w, by: ())
+        code, doc = run_json(capsys, "word", "conj", "Bab", "a")
+        assert code == 4
+        message = "conjugator does not conjugate w1 to w2"
+        assert doc == {"error": {"code": "internal", "message": message}}
+        code, doc = run_json(capsys, "qword", "conj", "Bab", "a")
+        assert code == 4 and doc["error"]["code"] == "internal"
 
     def test_parse_error(self, capsys):
         code, doc = run_json(capsys, "word", "reduce", "a?b")
@@ -566,6 +587,45 @@ class TestTower:
         assert doc["level"] == 92
         assert [st["v"] for st in doc["steps"][4:]] == v3
         assert "a(ab)^(1/2)" in v3
+
+
+class TestBackstop:
+    """An exception no command raises on purpose still ends in an honest exit
+    code and an error document, never exit 1 or a traceback on stdout."""
+
+    def raise_from(self, monkeypatch, owner, name, ex):
+        def fail(*args, **kwargs):
+            raise ex
+
+        monkeypatch.setattr(owner, name, fail)
+
+    @pytest.mark.parametrize(
+        "ex, message",
+        [(MemoryError(), "MemoryError"), (RecursionError("too deep"), "RecursionError: too deep")],
+    )
+    def test_memory_and_recursion_are_caps(self, capsys, monkeypatch, ex, message):
+        self.raise_from(monkeypatch, words, "dehn_area", ex)
+        argv = ("word", "area", "abAB", "--relator", "abAB")
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
+        assert doc == {"error": {"code": "resource-cap", "message": message}}
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert out == 'error: {"code": "resource-cap", "message": "%s"}\n' % message
+
+    def test_other_exceptions_are_internal(self, capsys, monkeypatch):
+        # qword equal puts "equal" before it reads the canonical text: the
+        # error document holds the error alone
+        self.raise_from(monkeypatch, qcompletion.QSession, "canonical_text", ValueError("boom"))
+        argv = ("qword", "equal", "a^(2/2)", "a")
+        code = cli.run(["--json", *argv])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out) == {"error": {"code": "internal", "message": "ValueError: boom"}}
+        assert "Traceback" in captured.err  # a bug: its traceback goes to stderr
+        code, out = run(capsys, *argv)
+        assert code == 4
+        assert out == 'error: {"code": "internal", "message": "ValueError: boom"}\n'
 
 
 class TestUsageErrors:

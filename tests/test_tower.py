@@ -1131,6 +1131,43 @@ class TestLevelContract:
             tw.Form(1, ((1,),), ())
 
 
+class TestCanonicalContract:
+    """Every element a tower op returns is canonical: canonical_form leaves
+    it as it is, so equality of elements is identity of their forms."""
+
+    def test_results_are_canonical(self):
+        # levels 1-5 of the property and oracle towers, and the chain of
+        # roots of roots that (ab)^(1/5) adjoins
+        rng = random.Random(140)
+        s = QSession(AB, max_level=5)
+        s.normalize("(ab)^(1/5)")
+        towers = [ts[lvl] for ts in property_towers() + oracle_towers() for lvl in range(1, len(ts))]
+        checked = 0
+        for t in towers + [s.tower]:
+
+            def check(*elems):
+                nonlocal checked
+                for r in elems:
+                    assert tw.canonical_form(t, r) == r
+                    checked += 1
+
+            check(*(t.root(lvl) for lvl in range(1, t.level + 1)))
+            for i in range(2):
+                e, f = random_elem(rng, t), random_elem(rng, t, n_factors=2)
+                lvl = rng.randint(1, t.level)
+                r = t.root(lvl)
+                check(tw.mul(t, e, f), tw.inv(t, e), tw.pow_elem(t, e, rng.randint(-3, 3)))
+                check(tw.pow_elem(t, r, rng.randint(-12, 12)))
+                check(*(tw.coset_rep(t, e, v)[0] for v in (t.step_at(lvl).v, r, tw.inv(t, r))))
+                x, core = tw.cyclic_decompose(t, e)
+                check(x, core)
+                if i == 0 and not tw.is_trivial(core):  # one twist search per tower
+                    check(*tw.class_rep(t, core)[:2], *tw.root_class(t, core)[:2])
+                if isinstance(e, tw.Form):
+                    check(*tw._prefixes(t, e))
+        assert checked > 400
+
+
 class TestCacheKeys:
     @pytest.mark.parametrize("names", [("a", "b"), ("é", "b")])
     def test_sort_key_matches_char_key_order(self, names):

@@ -173,6 +173,13 @@ class TestConjugacy:
         assert c == words.inverse(x)
         assert elapsed < 0.01
 
+    def test_failed_check_raises(self, monkeypatch):
+        # a witness that fails its replay is a CertificateError, not "distinct"
+        monkeypatch.setattr(words, "conjugate", lambda w, by: ())
+        with pytest.raises(words.CertificateError):
+            words.conjugacy_witness(W("Bab"), W("a"))
+        assert words.conjugacy_witness(W("a"), W("b")) is None
+
     def test_equivalence_and_invariance(self):
         rng = random.Random(15)
         sample = [random_reduced(rng, 6) for _ in range(20)]
