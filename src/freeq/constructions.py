@@ -90,7 +90,7 @@ def _edge(data) -> Tuple[CoreGraph, CoreGraph, homs.EdgeContext]:
     except ValueError:
         raise error from None
     gU, gV = build_core(dom, data.u_generators), build_core(cod, data.v_generators)
-    if ctx.psi.graph.serialize() != gU.serialize() or ctx.psi_inv.graph.serialize() != gV.serialize():
+    if ctx.psi.graph != gU or ctx.psi_inv.graph != gV:
         raise error
     return gU, gV, ctx
 

@@ -1,9 +1,9 @@
 """Homomorphisms between f.g. subgroups of free groups, plus exact word
 reduction in HNN-extensions and amalgams over free bases.
 
-The subgroup map is given on a free basis; applying it to an arbitrary
-subgroup element goes through the Stallings decomposition over the core
-graph's intrinsic basis, with a Nielsen change of basis in between.
+The subgroup map is given on a free basis; one labelled Stallings fold of
+that basis gives the domain's core graph with the images as edge labels,
+and applying the map to a subgroup element reads the labels along its path.
 
 Both free constructions are the graph of groups with one edge psi: U -> V
 (a loop for an HNN-extension, a segment for an amalgam), and words in
@@ -14,77 +14,10 @@ Trees I.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .stallings import build_core, contains, express
+from .stallings import contains, labelled_core
 from .words import Alphabet, Frozen, Word, free_reduce, inverse, mul
-
-Abstract = Tuple[int, ...]  # word over abstract symbols +-(i+1), freely reduced
-
-
-def _substitute(abstract: Abstract, images: Sequence[Word]) -> Word:
-    parts = []
-    for x in abstract:
-        w = images[abs(x) - 1]
-        parts.append(w if x > 0 else inverse(w))
-    return mul(*parts)
-
-
-def nielsen_invert(images: Sequence[Abstract]) -> Optional[List[Abstract]]:
-    """Given d_i in F_k over abstract letters, return expressions of the k basis
-    letters as words in symbols g_1..g_k with g_i := d_i, or None if (d_i) is
-    not a free basis of F_k.
-
-    A labelled Stallings fold (Kapovich-Myasnikov 2002).  The petals d_i at
-    vertex 0 carry labels in F(g): g_i on the last edge of petal i, 1
-    elsewhere.  Each edge u -x-> w labelled l keeps l(d) = p(u) x p(w)^-1
-    for some vertex words p with p(0) = 1.  Folding u -x-> w1 and u -x-> w2
-    (labels l1, l2) first gauges w2 by c = l1^-1 l2: edges leaving w2 get
-    c l, edges entering it l c^-1, so both edges read l1 and w2 merges into
-    w1.  The d_i generate F_k, hence (Hopfian) are a basis, iff the folded
-    graph is the rose; its loop x_j then reads x_j's expression.
-    """
-    k = len(images)
-    if any(not w for w in images):
-        return None
-    adj: List[dict] = [{}]  # vertex -> {signed letter: (end vertex, label)}
-    gauge: dict = {}  # merged vertex -> (vertex it merged into, its gauge c)
-    queue = []
-
-    def find(v):
-        c: Abstract = ()
-        while v in gauge:
-            v, g = gauge[v]
-            c = mul(g, c)
-        return v, c
-
-    def attach(u, x, w, label):
-        old = adj[u].setdefault(x, (w, label))
-        if old != (w, label):
-            queue.append((old, (w, label)))
-
-    for i, d in enumerate(images):
-        path = [0, *range(len(adj), len(adj) + len(d) - 1), 0]
-        adj.extend({} for _ in d[1:])
-        for j, x in enumerate(d):
-            label = (i + 1,) if j == len(d) - 1 else ()
-            attach(path[j], x, path[j + 1], label)
-            attach(path[j + 1], -x, path[j], inverse(label))
-    while queue:
-        ((w1, l1), (w2, l2)) = queue.pop()
-        (w1, c1), (w2, c2) = find(w1), find(w2)
-        if w1 == w2:
-            continue
-        if w2 == 0:
-            w1, l1, c1, w2, l2, c2 = w2, l2, c2, w1, l1, c1
-        c = mul(c1, inverse(l1), l2, inverse(c2))
-        gauge[w2] = (w1, c)
-        for x, (w, label) in adj[w2].items():
-            attach(w1, x, w, mul(c, label))
-        adj[w2] = {}
-    if len(gauge) != len(adj) - 1 or sorted(adj[0]) != [*range(-k, 0), *range(1, k + 1)]:
-        return None
-    return [mul(label, inverse(find(w)[1])) for w, label in (adj[0][j] for j in range(1, k + 1))]
 
 
 class NotASubgroupElement(ValueError):
@@ -94,38 +27,37 @@ class NotASubgroupElement(ValueError):
 class SubgroupHom:
     """Map from U = <u_1..u_r> <= F(dom) into F(cod), u_i |-> v_i.
 
-    Requires (u_i) to be a free basis of U; `valid` is False otherwise.
+    One labelled fold of the petals u_i, petal i reading v_i, gives U's core
+    and a label on each edge.  The map is well defined iff (u_i) is a free
+    basis of U, that is iff the core has rank r; `valid` says so.  Then
+    reading the labels along a closed path w gives the image of w.
     """
 
     def __init__(self, dom: Alphabet, pairs: Sequence[Tuple[Word, Word]], cod: Alphabet):
         self.dom = dom
         self.cod = cod
         self.pairs = [(free_reduce(u), free_reduce(v)) for (u, v) in pairs]
-        self.graph = build_core(dom, [u for u, _ in self.pairs])
-        self.valid = False
-        self._chord_images: Optional[List[Word]] = None
-        rank = self.graph.betti
-        if rank != len(self.pairs):
-            return
-        decomps = []
-        for u, _ in self.pairs:
-            d = express(self.graph, u)
-            if d is None:
-                return
-            decomps.append(free_reduce((idx + 1) * s for idx, s in d))
-        basis_expr = nielsen_invert(decomps)
-        if basis_expr is None:
-            return
-        images = [v for _, v in self.pairs]
-        self._chord_images = [_substitute(b, images) for b in basis_expr]
-        self.valid = True
+        self.graph, labels = labelled_core(dom, self.pairs)
+        self.valid = self.graph.betti == len(self.pairs)
+        self._arrows: dict = {}  # (vertex, signed letter) -> (end, label)
+        for (u, g, v), label in zip(self.graph.edges, labels):
+            self._arrows[(u, g)] = (v, label)
+            self._arrows[(v, -g)] = (u, inverse(label))
 
     def apply(self, w: Word) -> Word:
-        d = express(self.graph, w)
-        if d is None:
-            raise NotASubgroupElement(f"{self.dom.format(w)} is not in the domain subgroup")
-        assert self._chord_images is not None
-        return _substitute(free_reduce((idx + 1) * s for idx, s in d), self._chord_images)
+        if not self.valid:
+            raise ValueError("the domain words are not a free basis, so the map is not defined")
+        at, parts = 0, []
+        for x in w:
+            arrow = self._arrows.get((at, x))
+            if arrow is None:
+                break
+            at, label = arrow
+            parts.append(label)
+        else:
+            if at == 0:
+                return mul(*parts)
+        raise NotASubgroupElement(f"{self.dom.format(w)} is not in the domain subgroup")
 
 
 # ---------------------------------------------------------------------------

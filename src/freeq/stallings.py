@@ -26,7 +26,8 @@ class CoreGraph(Frozen):
 
     def __init__(self, alphabet: Alphabet, num_vertices: int, edges: tuple):
         # edges: sorted tuple of (source, generator>=1, target)
-        out, inn = _edge_maps(edges)
+        out = {(u, g): v for (u, g, v) in edges}
+        inn = {(v, g): u for (u, g, v) in edges}
         if len(out) != len(edges) or len(inn) != len(edges):
             raise ValueError("graph is not folded")
         super().__init__(alphabet, num_vertices, edges, out, inn)
@@ -105,92 +106,119 @@ def _is_tree_edge(tree: dict, edge) -> bool:
     return tree[v] == (u, g) or tree[u] == (v, -g)
 
 
-def _edge_maps(edges):
-    """(vertex, generator) -> vertex maps for forward and backward edges."""
-    out: dict = {}
-    inn: dict = {}
-    for (u, g, v) in edges:
-        out[(u, g)] = v
-        inn[(v, g)] = u
-    return out, inn
-
-
-def _fold(num_vertices: int, edges: List[Tuple[int, int, int]], basepoint: int):
-    """Fold an edge list; returns (folded edges, basepoint).
+def _fold(num_vertices: int, edges, basepoint: int):
+    """Fold labelled edges (u, x, v, label), where u -x-> v for a signed
+    letter x reads label, a word of any free group (and v -(-x)-> u reads
+    its inverse); returns the folded edges (u, g, v, label), g >= 1, and
+    the basepoint.
 
     Worklist folding (Touikan): each vertex maps its signed letters to
-    neighbours, two ends under one letter are queued to be merged, and a
-    merge moves one map into the other, queueing the clashes.  Stored
-    neighbours may be merged vertices; find resolves them.  The folded
-    graph does not depend on the merge order.
+    (neighbour, label) pairs, two ends under one letter are queued to be
+    merged, and a merge moves one map into the other, queueing the clashes.
+    Stored neighbours may be merged vertices; find resolves them.  The
+    folded graph does not depend on the merge order.
+
+    Labels (Kapovich-Myasnikov 2002): merging w2 into w1, where the clashing
+    edges read l1 and l2, gauges w2 by c = l1^-1 l2, so edges leaving w2
+    read c l, edges entering it l c^-1, and both read l1.  find composes
+    gauges as it compresses paths.  The basepoint is never gauged, so no
+    merge changes what a closed path at it reads.  Labels are fixed only up
+    to gauge, and they are a well-defined map on closed paths exactly when
+    no fold identified two parallel edges, that is when the folded graph
+    keeps the betti number r of the input: folding r petals u_i at the
+    basepoint, petal i reading v_i, then reads psi: u_i -> v_i along each
+    closed path (free groups are Hopfian).
     """
     parent = list(range(num_vertices))
+    gauge: List[Word] = [()] * num_vertices  # a merged vertex's gauge to its parent
     adj: List[dict] = [{} for _ in range(num_vertices)]
     queue = []
 
     def find(x):
+        """(root of x, gauge of x to it)."""
+        p = parent[x]
+        if parent[p] == p:
+            return p, gauge[x]
+        path = []
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            path.append(x)
             x = parent[x]
-        return x
+        c = ()
+        for y in reversed(path):
+            g = gauge[y]
+            c = mul(c, g) if c and g else c or g
+            parent[y], gauge[y] = x, c
+        return x, c
 
-    def attach(u, letter, v):
-        w = adj[u].setdefault(letter, v)
-        if w != v:
-            queue.append((w, v))
+    def attach(u, letter, v, label):
+        new = (v, label)
+        old = adj[u].setdefault(letter, new)
+        if old is not new and old != new:
+            queue.append((old, new))
 
-    for (u, g, v) in edges:
-        attach(u, g, v)
-        attach(v, -g, u)
+    for (u, x, v, label) in edges:
+        attach(u, x, v, label)
+        attach(v, -x, u, inverse(label) if label else label)
     while queue:
-        a, b = (find(x) for x in queue.pop())
+        (w1, l1), (w2, l2) = queue.pop()
+        (a, c1), (b, c2) = find(w1), find(w2)
         if a == b:
             continue
-        parent[b] = a
-        for letter, v in adj[b].items():
-            attach(a, letter, v)
+        c = mul(c1, inverse(l1), l2, inverse(c2)) if c1 or l1 or l2 or c2 else ()
+        if b == basepoint:
+            a, b, c = b, a, inverse(c)
+        parent[b], gauge[b] = a, c
+        for letter, (v, label) in adj[b].items():
+            attach(a, letter, v, mul(c, label) if c and label else c or label)
         adj[b] = {}
-    folded = sorted({(find(u), g, find(v)) for (u, g, v) in edges})
-    return folded, find(basepoint)
+    folded = []
+    for u, arrows in enumerate(adj):  # merged vertices have none left
+        for g, (w, label) in arrows.items():
+            if g > 0:
+                v, c = find(w)
+                folded.append((u, g, v, mul(label, inverse(c)) if c else label))
+    return folded, basepoint
 
 
-def _canonical(alphabet: Alphabet, edges, basepoint) -> CoreGraph:
-    """Renumber vertices by BFS from the basepoint with shortlex edge order."""
-    out, inn = _edge_maps(edges)
+def _canonical(alphabet: Alphabet, edges, basepoint) -> Tuple[CoreGraph, tuple]:
+    """Renumber labelled edges' vertices by BFS from the basepoint with
+    shortlex edge order; returns the graph and its edges' labels in order."""
+    out = {(u, g): v for (u, g, v, _) in edges}
+    inn = {(v, g): u for (u, g, v, _) in edges}
 
     def step(x, letter):
         return out.get((x, letter)) if letter > 0 else inn.get((x, -letter))
 
     order = {x: i for i, x in enumerate(_bfs(step, basepoint, alphabet.size))}
-    new_edges = sorted((order[u], g, order[v]) for (u, g, v) in edges)
-    return CoreGraph(alphabet, len(order), tuple(new_edges))
+    new_edges = sorted((order[u], g, order[v], label) for (u, g, v, label) in edges)
+    graph = CoreGraph(alphabet, len(order), tuple((u, g, v) for (u, g, v, _) in new_edges))
+    return graph, tuple(label for (*_, label) in new_edges)
 
 
-def build_core(alphabet: Alphabet, generators) -> CoreGraph:
-    """Folded basepointed core graph of the subgroup generated by the given words.
+def labelled_core(alphabet: Alphabet, petals) -> Tuple[CoreGraph, tuple]:
+    """Fold the petals (u_i, v_i): u_i a closed path at the basepoint whose
+    last edge reads v_i.  Returns the core graph of <u_i> and the labels of
+    its edges in order; see _fold for what they mean.
 
-    No hair needs trimming: each freely reduced generator traces a reduced
-    closed path in the folded graph, which can only turn back at the
-    basepoint, so every other vertex keeps degree at least 2.
+    No hair needs trimming: each freely reduced u_i traces a reduced closed
+    path in the folded graph, which can only turn back at the basepoint, so
+    every other vertex keeps degree at least 2.
     """
-    edges: List[Tuple[int, int, int]] = []
+    edges: List[tuple] = []
     nv = 1
-    for w in generators:
+    for w, label in petals:
         w = free_reduce(w)
         if not w:
             continue
-        prev = 0
-        for i, x in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else nv
-            if i < len(w) - 1:
-                nv += 1
-            if x > 0:
-                edges.append((prev, x, nxt))
-            else:
-                edges.append((nxt, -x, prev))
-            prev = nxt
-    folded, base = _fold(nv, edges, 0)
-    return _canonical(alphabet, folded, base)
+        ends = [0, *range(nv, nv + len(w) - 1), 0]
+        nv += len(w) - 1
+        edges += zip(ends, w, ends[1:], [()] * (len(w) - 1) + [label])
+    return _canonical(alphabet, *_fold(nv, edges, 0))
+
+
+def build_core(alphabet: Alphabet, generators) -> CoreGraph:
+    """Folded basepointed core graph of the subgroup generated by the given words."""
+    return labelled_core(alphabet, [(w, ()) for w in generators])[0]
 
 
 def contains(graph: CoreGraph, w: Word) -> bool:

@@ -165,9 +165,10 @@ class TestHNN:
 
 
 def test_one_edge_per_check(monkeypatch):
-    """Each check builds U's and V's cores and psi, psi^-1 once."""
-    calls = {"cores": 0, "homs": 0}
-    build, init = stallings.build_core, homs.SubgroupHom.__init__
+    """Each check builds U's and V's cores and psi, psi^-1 once: two
+    build_core calls and two labelled folds."""
+    calls = {"cores": 0, "homs": 0, "folds": 0}
+    build, init, fold = stallings.build_core, homs.SubgroupHom.__init__, stallings._fold
 
     def counted_build(*args):
         calls["cores"] += 1
@@ -177,10 +178,15 @@ def test_one_edge_per_check(monkeypatch):
         calls["homs"] += 1
         init(self, *args)
 
+    def counted_fold(*args):
+        calls["folds"] += 1
+        return fold(*args)
+
     for module in (stallings, homs, constructions):
         if getattr(module, "build_core", None) is build:
             monkeypatch.setattr(module, "build_core", counted_build)
     monkeypatch.setattr(homs.SubgroupHom, "__init__", counted_init)
+    monkeypatch.setattr(stallings, "_fold", counted_fold)
     W = Presentation(Alphabet(("w",)), ())
     for check, data in [
         (check_separated_hnn, hnn(AB, ["aa"], ["bb"])),
@@ -188,9 +194,9 @@ def test_one_edge_per_check(monkeypatch):
         (check_amalgam, amalgam(X, Y, ["xx"], ["yyy"])),
         (check_amalgam, amalgam(AB, W, ["ab"], ["www"])),
     ]:
-        calls.update(cores=0, homs=0)
+        calls.update(cores=0, homs=0, folds=0)
         check(data)
-        assert calls["cores"] <= 4 and calls["homs"] == 2, (data, calls)
+        assert calls == {"cores": 2, "homs": 2, "folds": 4}, (data, calls)
 
 
 class TestAmalgam:

@@ -3,6 +3,8 @@ against the restart-from-the-start reductions they replaced."""
 
 import random
 
+import pytest
+
 from freeq import homs, words
 from freeq.stallings import build_core, contains
 from freeq.words import Alphabet, free_reduce, mul
@@ -239,21 +241,34 @@ def nielsen_moved_basis(rng, k, moves):
     return d
 
 
-def test_nielsen_invert_inverts_every_basis():
-    # moves that keep the length (Nielsen's N3) are needed on bases such as
-    # the u-words {ad, adBadBA, DACDA, DbDACDA} of F_4
+def test_subgroup_hom_inverts_every_basis():
+    # the map d_i -> x_i is valid with a one-vertex core on a basis of F_k,
+    # and reads x_j's expression in the d_i; moves that keep the length
+    # (Nielsen's N3) are needed on bases such as the u-words
+    # {ad, adBadBA, DACDA, DbDACDA} of F_4
     rng = random.Random(9)
     bases = [[(1, 4), (1, 4, -2, 1, 4, -2, -1), (-4, -1, -3, -4, -1), (-4, 2, -4, -1, -3, -4, -1)]]
     bases += [nielsen_moved_basis(rng, rng.randint(2, 5), rng.randint(1, 12)) for _ in range(1500)]
     for d in bases:
-        inv = homs.nielsen_invert(d)
-        assert inv is not None, d
-        assert [homs._substitute(e, d) for e in inv] == [(i + 1,) for i in range(len(d))], d
+        f = Alphabet(tuple("abcde"[: len(d)]))
+        x = [(i + 1,) for i in range(len(d))]
+        psi = homs.SubgroupHom(f, list(zip(d, x)), f)
+        assert psi.valid and psi.graph.num_vertices == 1, d
+        psi_inv = homs.SubgroupHom(f, list(zip(x, d)), f)
+        assert [psi_inv.apply(psi.apply(xj)) for xj in x] == x, d
 
 
-def test_nielsen_invert_rejects_non_bases():
+def basis_by_hom(d):
+    """True iff d_i -> x_i is valid with a one-vertex core, over the free
+    group on len(d) letters or on the largest letter in d."""
+    f = Alphabet(tuple("abcd"[: max([len(d), *(abs(x) for u in d for x in u)])]))
+    psi = homs.SubgroupHom(f, [(u, (i + 1,)) for i, u in enumerate(d)], f)
+    return psi.valid and psi.graph.num_vertices == 1
+
+
+def test_subgroup_hom_rejects_non_bases():
     for d in [[(1, 1), (2,)], [(1, 2), (1, 2)], [(1,), ()], [(1, 2, -1, -2), (1,)], [(1,)] * 2, [(1, 2)]]:
-        assert homs.nielsen_invert(d) is None, d
+        assert not basis_by_hom(d), d
     # a random tuple is a basis iff its Stallings graph is the rose
     rng = random.Random(10)
     letters = Alphabet(tuple("abcd"))
@@ -262,4 +277,40 @@ def test_nielsen_invert_rejects_non_bases():
         d = [random_word(rng, Alphabet(letters.names[:k]), 4) for _ in range(k)]
         core = build_core(Alphabet(letters.names[:k]), d)
         rose = all(d) and core.num_vertices == 1 and core.betti == k
-        assert (homs.nielsen_invert(d) is not None) == rose, d
+        assert basis_by_hom(d) == rose, d
+
+
+def test_subgroup_hom_matches_substitution():
+    """psi of a product of u_i^+-1 is the product of the v_i^+-1, the oracle
+    being substitution alone, on the edge maps both ways and on 300 maps of
+    Nielsen-moved bases of F_k or of <b^-j a b^j : j < k> <= F(a, b); a word
+    off U's core raises NotASubgroupElement."""
+    rng = random.Random(33)
+    maps = [m for ctx in hnn_contexts() + amalgam_contexts() for m in (ctx.psi, ctx.psi_inv)]
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        d = nielsen_moved_basis(rng, k, rng.randint(1, 12))
+        dom = Alphabet(tuple("abcde"[:k]))
+        if rng.random() < 0.5:
+            conj = [(-2,) * j + (1,) + (2,) * j for j in range(k)]
+            d = [mul(*(words.power(conj[abs(x) - 1], x // abs(x)) for x in u)) for u in d]
+            dom = AB
+        maps.append(homs.SubgroupHom(dom, [(u, random_word(rng, AB, 5)) for u in d], AB))
+    outside = 0
+    for psi in maps:
+        assert psi.valid
+        for _ in range(5):
+            seq = [(rng.choice(psi.pairs), rng.choice([1, -1])) for _ in range(rng.randint(0, 6))]
+            u = mul(*(words.power(p[0], e) for p, e in seq))
+            v = mul(*(words.power(p[1], e) for p, e in seq))
+            assert psi.apply(u) == v, (psi.pairs, seq)
+        w = random_word(rng, psi.dom, 6)
+        if not contains(psi.graph, w):
+            outside += 1
+            with pytest.raises(homs.NotASubgroupElement):
+                psi.apply(w)
+    assert outside > 100
+    # an invalid map raises rather than answer
+    with pytest.raises(ValueError) as err:
+        homs.SubgroupHom(AB, [((1,), (1,)), ((1, 1), (2,))], AB).apply((1,))
+    assert err.type is ValueError

@@ -1228,10 +1228,10 @@ t0 = tw.Tower(Alphabet(("a", "b")))
 t1 = t0.extend_centralizer((1, 2), 2, name="w")
 
 
-def probe(name, fn):
+def probe(name, fn, error=tw.CertificateError):
     try:
         fn()
-    except tw.CertificateError:
+    except error:
         print(name, "raised")
     else:
         print(name, "passed")
@@ -1255,6 +1255,9 @@ probe("hnn intersection witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, 
 probe("hnn pair witness", lambda: cs.check_separated_hnn(cs.HNNData(AB, ((1, 1),), ((2, 2),))))
 homs.amalgam_reduce = lambda ctx, sylls: [("L", (1,))]
 probe("amalgam pair witness", lambda: cs.check_amalgam(cs.AmalgamData(X, Y, ((1, 1),), ((1, 1, 1),))))
+# a, aa is no free basis of <a>, so a -> a, aa -> b defines no map
+invalid = homs.SubgroupHom(AB.alphabet, [((1,), (1,)), ((1, 1), (2,))], AB.alphabet)
+probe("SubgroupHom.apply on an invalid map", lambda: invalid.apply((1,)), ValueError)
 """
 
 
@@ -1267,7 +1270,7 @@ def test_certificate_checks_survive_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:7] == [
+    assert proc.stdout.split("\n")[:8] == [
         "conjugate_in_tower raised",
         "class_rep level 1 raised",
         "class_rep level 0 raised",
@@ -1275,6 +1278,7 @@ def test_certificate_checks_survive_O():
         "hnn intersection witness raised",
         "hnn pair witness raised",
         "amalgam pair witness raised",
+        "SubgroupHom.apply on an invalid map raised",
     ]
 
 
